@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 from . import codec, container, relay, replay, transport
 from .errors import (
+    AdapterError,
     ContainerError,
     DesyncError,
     SignalingError,
@@ -206,7 +207,12 @@ def run_receiver(cfg: ReceiverConfig) -> tuple[ReceiverReport, LatencyReport]:
                     sf = codec.ref_decode(au)
                 else:
                     if external is None:
-                        command = cfg.codec.split(":", 1)[1]
+                        kind, _, command = cfg.codec.partition(":")
+                        if kind != "external":
+                            raise AdapterError(
+                                f"stream carries {au.codec_id.name} units, "
+                                f"receiver codec is {cfg.codec!r}"
+                            )
                         external = codec.external_open(hdr, command, mode="decode")
                     external.send_bytes(au.payload)
                     sf = external.poll_frame()

@@ -126,17 +126,19 @@ def ref_decode(au: EncodedAccessUnit) -> Superframe:
     if len(body) % 2:
         raise BitstreamError("run-length stream has a dangling byte")
     pairs = np.frombuffer(body, dtype=np.uint8).reshape(-1, 2)
-    counts = pairs[:, 0].astype(np.int64)
-    if (counts == 0).any():
+    counts = pairs[:, 0].astype(np.intp)
+    if not counts.all():
         raise BitstreamError("zero-length run in run-length stream")
-    stream = np.repeat(pairs[:, 1], counts)
+    # check the decoded length before expanding, so the payload cannot make
+    # the decoder allocate more than the frame it declares
+    decoded = int(counts.sum())
     expected = superframe_byte_size(width, half_height)
-    if len(stream) != expected:
+    if decoded != expected:
         raise BitstreamError(
             f"declared {width}x{2 * half_height} needs {expected} bytes, "
-            f"run-length stream decodes to {len(stream)}"
+            f"run-length stream decodes to {decoded}"
         )
-    resid = stream.reshape(2 * half_height, width, 4)
+    resid = np.repeat(pairs[:, 1], counts).reshape(2 * half_height, width, 4)
     rows = np.cumsum(resid, axis=1, dtype=np.uint8)  # wraps mod 256
     return Superframe(rows)
 

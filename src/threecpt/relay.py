@@ -6,6 +6,11 @@ then attach to the relay listener. Once both roles of a channel are
 attached the relay splices the two connections byte-for-byte. All packet
 logic stays in the transport layer; the relay never inspects stream bytes.
 
+The splice buffers no frames: each direction is one blocking recv/sendall
+loop, so TCP backpressure from a slow receiver reaches the sender directly.
+A channel is released when both directions have ended: the relay closes
+both sockets and forgets the channel, so its id can be registered again.
+
 Wire surfaces:
 
 * Signaling (TCP, UTF-8 lines, one request per connection):
@@ -19,7 +24,6 @@ Wire surfaces:
 from __future__ import annotations
 
 import secrets
-from collections import deque
 import socket
 import struct
 import threading
@@ -40,8 +44,27 @@ REJECTED = b"\xff"
 
 
 def _quiet_close(sock: socket.socket):
+    # shut down first: close() alone does not wake a pump blocked in recv
+    try:
+        sock.shutdown(socket.SHUT_RDWR)
+    except OSError:
+        pass
     try:
         sock.close()
+    except OSError:
+        pass
+
+
+def _pump(src: socket.socket, dst: socket.socket):
+    """Copy src to dst until src ends or either side fails, then pass the
+    end on to dst's peer."""
+    try:
+        while data := src.recv(65536):
+            dst.sendall(data)
+    except OSError:
+        pass
+    try:
+        dst.shutdown(socket.SHUT_WR)
     except OSError:
         pass
 
@@ -56,60 +79,15 @@ class ChannelGrant:
     def __post_init__(self):
         if len(self.key) != 16:
             raise ValueError("channel key must be 16 bytes")
-
-
-class _SpliceBuffer:
-    """Bounded FIFO of byte chunks between the two halves of a splice."""
-
-    def __init__(self, max_bytes: int = 128 * 1024 * 1024):
-        self.max_bytes = max_bytes
-        self._chunks: deque = deque()
-        self._bytes = 0
-        self._closed = False
-        self._aborted = False
-        self._cond = threading.Condition()
-
-    def put(self, data: bytes):
-        with self._cond:
-            while self._bytes >= self.max_bytes and not self._aborted:
-                self._cond.wait(0.2)
-            if self._aborted:
-                raise OSError("splice aborted")
-            self._chunks.append(data)
-            self._bytes += len(data)
-            self._cond.notify_all()
-
-    def get(self):
-        with self._cond:
-            while not self._chunks and not self._closed and not self._aborted:
-                self._cond.wait(0.2)
-            if self._chunks:
-                data = self._chunks.popleft()
-                self._bytes -= len(data)
-                self._cond.notify_all()
-                return data
-            return None  # closed or aborted with nothing pending
-
-    def close(self):
-        with self._cond:
-            self._closed = True
-            self._cond.notify_all()
-
-    def abort(self):
-        with self._cond:
-            self._aborted = True
-            self._chunks.clear()
-            self._bytes = 0
-            self._cond.notify_all()
+        if not 0 < self.relay_port < 65536:
+            raise ValueError(f"relay port {self.relay_port} out of range")
 
 
 @dataclass
 class _Channel:
     key: bytes
     created_at: float
-    registered: set = field(default_factory=set)
     attached: dict = field(default_factory=dict)  # role -> socket
-    paired: bool = False
 
 
 class RelayServer:
@@ -222,7 +200,6 @@ class RelayServer:
                 self._channels[channel_id] = chan
             if role in chan.attached:
                 return f"ERR conflict {role} already attached on channel {channel_id}\n"
-            chan.registered.add(role)
             return f"OK {self.relay_port} {chan.key.hex()}\n"
 
     # --- relay ---
@@ -257,13 +234,7 @@ class RelayServer:
             )
             if ok:
                 chan.attached[role] = conn
-                counterpart = chan.attached.get(
-                    "receiver" if role == "sender" else "sender"
-                )
-                pair = None
-                if counterpart is not None:
-                    chan.paired = True
-                    pair = (chan.attached["sender"], chan.attached["receiver"])
+                paired = len(chan.attached) == 2
         if not ok:
             try:
                 conn.sendall(REJECTED)
@@ -277,47 +248,23 @@ class RelayServer:
         except OSError:
             _quiet_close(conn)
             return
-        if pair is not None:
-            sender_sock, receiver_sock = pair
-            for src, dst in ((sender_sock, receiver_sock), (receiver_sock, sender_sock)):
-                buf = _SpliceBuffer()
-                threading.Thread(
-                    target=self._pump_in, args=(src, buf), daemon=True
-                ).start()
-                threading.Thread(
-                    target=self._pump_out, args=(buf, dst), daemon=True
-                ).start()
+        if paired:
+            self._splice(channel_id, chan)
 
-    # Each direction is spliced through an elastic in-memory buffer so a
-    # slow reader doesn't immediately back-pressure the writer through raw
-    # TCP buffers; the cap keeps relay memory bounded per direction.
-
-    def _pump_in(self, src: socket.socket, buf: "_SpliceBuffer"):
-        try:
-            while not self._stop.is_set():
-                data = src.recv(65536)
-                if not data:
-                    break
-                buf.put(data)
-        except OSError:
-            pass
-        finally:
-            buf.close()
-
-    def _pump_out(self, buf: "_SpliceBuffer", dst: socket.socket):
-        try:
-            while True:
-                data = buf.get()
-                if data is None:
-                    break
-                dst.sendall(data)
-        except OSError:
-            buf.abort()
-        finally:
-            try:
-                dst.shutdown(socket.SHUT_WR)
-            except OSError:
-                pass
+    def _splice(self, channel_id: int, chan: _Channel):
+        """Run sender->receiver on this thread and receiver->sender on one
+        more; once both directions end, close both sockets and release the
+        channel unless it was already dropped and its id registered anew."""
+        sender, receiver = chan.attached["sender"], chan.attached["receiver"]
+        backward = threading.Thread(target=_pump, args=(receiver, sender), daemon=True)
+        backward.start()
+        _pump(sender, receiver)
+        backward.join()
+        _quiet_close(sender)
+        _quiet_close(receiver)
+        with self._lock:
+            if self._channels.get(channel_id) is chan:
+                del self._channels[channel_id]
 
     # --- expiry ---
 
@@ -328,7 +275,7 @@ class RelayServer:
                 expired = [
                     cid
                     for cid, chan in self._channels.items()
-                    if not chan.paired and now - chan.created_at > self.ttl
+                    if len(chan.attached) < 2 and now - chan.created_at > self.ttl
                 ]
                 for cid in expired:
                     chan = self._channels.pop(cid)
@@ -351,20 +298,27 @@ def register_channel(
             line = _read_line(conn)
     except OSError as exc:
         raise SignalingError(f"signaling at {signal_addr} unreachable: {exc}") from exc
-    parts = line.split(maxsplit=2)
-    if parts[0] == "OK" and len(parts) == 3:
+    parts = line.split()
+    if parts[:1] != ["OK"]:
+        raise SignalingError(f"registration refused: {line.strip() or 'no reply'}")
+    try:
+        _, port, key = parts
         return ChannelGrant(
             channel_id=channel_id,
             relay_host=signal_addr[0],
-            relay_port=int(parts[1]),
-            key=bytes.fromhex(parts[2]),
+            relay_port=int(port),
+            key=bytes.fromhex(key),
         )
-    raise SignalingError(f"registration refused: {line.strip()}")
+    except ValueError as exc:
+        raise SignalingError(f"malformed grant {line.strip()!r}: {exc}") from exc
 
 
 def attach(grant: ChannelGrant, role: str, timeout: float = 10.0) -> socket.socket:
     """Dial the relay and attach; returns the spliced socket."""
-    conn = socket.create_connection((grant.relay_host, grant.relay_port), timeout=timeout)
+    try:
+        conn = socket.create_connection((grant.relay_host, grant.relay_port), timeout=timeout)
+    except OSError as exc:
+        raise RelayAuthError(f"relay unreachable: {exc}") from exc
     try:
         conn.sendall(
             _PREAMBLE.pack(ATTACH_MAGIC, _ROLE_BYTES[role], grant.channel_id, grant.key)

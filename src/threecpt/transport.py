@@ -133,14 +133,17 @@ def deserialize_stream_header(raw: bytes) -> StreamHeader:
     if len(raw) != _STREAM_HEADER.size:
         raise FormatError(f"stream header payload must be {_STREAM_HEADER.size} bytes")
     w, h, num, den, dmin, dmax, pf = _STREAM_HEADER.unpack(raw)
-    return StreamHeader(
-        width=w,
-        height=h,
-        fps_num=num,
-        fps_den=den,
-        range=DisparityRange(dmin, dmax),
-        pixel_format=PixelFormat(pf),
-    )
+    try:
+        return StreamHeader(
+            width=w,
+            height=h,
+            fps_num=num,
+            fps_den=den,
+            range=DisparityRange(dmin, dmax),
+            pixel_format=PixelFormat(pf),
+        )
+    except ValueError as exc:
+        raise FormatError(f"bad stream header: {exc}") from exc
 
 
 def serialize_access_unit(au: EncodedAccessUnit) -> bytes:
@@ -150,7 +153,10 @@ def serialize_access_unit(au: EncodedAccessUnit) -> bytes:
 def deserialize_access_unit(raw: bytes) -> EncodedAccessUnit:
     if len(raw) < 3:
         raise FormatError("access unit payload too short")
-    return EncodedAccessUnit(CodecId(raw[0]), raw[1], raw[2:])
+    try:
+        return EncodedAccessUnit(CodecId(raw[0]), raw[1], raw[2:])
+    except ValueError as exc:
+        raise FormatError(f"bad access unit: {exc}") from exc
 
 
 # --- stream send/receive over a connected socket ---

@@ -1,6 +1,7 @@
 import shutil
 import signal
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -82,6 +83,19 @@ class TestRefCodec:
         tampered = bytes([0x52, 0, 8, 0, 8]) + au.payload[5:]
         with pytest.raises(BitstreamError):
             ref_decode(EncodedAccessUnit(CodecId.REF_LOSSLESS, au.flags, tampered))
+
+    def test_overlong_stream_rejected_before_expanding(self):
+        # 1 MiB of (255, 0) runs would expand to ~134 MB; the header declares 2x2
+        payload = bytes([0x52, 0, 2, 0, 1]) + bytes([255, 0]) * (512 * 1024)
+        au = EncodedAccessUnit(CodecId.REF_LOSSLESS, 1, payload)
+        tracemalloc.start()
+        try:
+            with pytest.raises(BitstreamError):
+                ref_decode(au)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 1024 * 1024
 
     def test_zero_run_rejected(self):
         payload = bytes([0x52, 0, 1, 0, 1]) + bytes([0, 7])

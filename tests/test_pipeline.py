@@ -7,9 +7,10 @@ import threading
 import pytest
 
 from threecpt import cli, container
+from threecpt.errors import AdapterError
 from threecpt.relay import RelayServer
 
-from util import frame_checksum
+from util import closed_port, fake_signaling, frame_checksum
 
 CAT = shutil.which("cat") or "cat"
 
@@ -97,6 +98,19 @@ class TestEndToEnd:
             frame_checksum(f) for f in frames
         ]
 
+    def test_external_units_to_ref_receiver_is_adapter_error(self, server, tmp_path):
+        path, _ = write_stream(tmp_path, frames=3)
+        addr = (server.host, server.signal_port)
+        sender_cfg = cli.SenderConfig(
+            source=str(path), signal_addr=addr, channel_id=7, codec=f"external:{CAT}", fps=0
+        )
+        t = threading.Thread(target=cli.run_sender, args=(sender_cfg,))
+        t.start()
+        with pytest.raises(AdapterError, match="EXTERNAL"):
+            cli.run_receiver(cli.ReceiverConfig(signal_addr=addr, channel_id=7))
+        t.join(timeout=30)
+        assert not t.is_alive(), "sender did not finish"
+
     def test_dump_mode_writes_files(self, server, tmp_path):
         hdr, fs = container.gen_synthetic(640, 480, (30, 1), 2)
         path = tmp_path / "full.rgbz"
@@ -153,6 +167,19 @@ class TestCliMains:
     def test_recv_main_unreachable_signaling(self):
         code = cli.recv_main(["--signal", "127.0.0.1:1", "--channel", "9"])
         assert code == cli.EXIT_SIGNALING
+
+    @pytest.mark.parametrize("role", ["send", "recv"])
+    def test_refused_relay_port_exit_code(self, role, tmp_path):
+        grant = f"OK {closed_port()} {'00' * 16}\n".encode()
+        (host, port), t = fake_signaling(grant)
+        args = ["--signal", f"{host}:{port}", "--channel", "9"]
+        if role == "send":
+            path, _ = write_stream(tmp_path, frames=1)
+            code = cli.send_main(["--input", str(path), *args])
+        else:
+            code = cli.recv_main(args)
+        t.join(timeout=5)
+        assert code == cli.EXIT_TRANSPORT
 
     def test_send_and_recv_mains_loopback(self, server, tmp_path, capsys):
         path, _ = write_stream(tmp_path, frames=4)

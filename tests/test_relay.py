@@ -7,6 +7,8 @@ import pytest
 from threecpt.errors import RelayAuthError, SignalingError
 from threecpt.relay import ChannelGrant, RelayServer, attach, register_channel
 
+from util import closed_port, fake_signaling
+
 
 @pytest.fixture
 def server():
@@ -16,6 +18,38 @@ def server():
 
 def signal_addr(srv):
     return (srv.host, srv.signal_port)
+
+
+def wait_until(cond, timeout=5.0):
+    deadline = time.monotonic() + timeout
+    while not cond():
+        if time.monotonic() > deadline:
+            return False
+        time.sleep(0.01)
+    return True
+
+
+def new_threads(before):
+    return [t for t in threading.enumerate() if t not in before]
+
+
+def open_pair(srv, cid):
+    """Register and attach both roles of channel cid; returns (sender, receiver)."""
+    gs = register_channel(signal_addr(srv), "sender", cid)
+    gr = register_channel(signal_addr(srv), "receiver", cid)
+    return attach(gs, "sender"), attach(gr, "receiver")
+
+
+def run_session(srv, cid, payload):
+    """One complete session on channel cid; returns what the receiver got."""
+    tx, rx = open_pair(srv, cid)
+    tx.sendall(payload)
+    tx.close()
+    received = bytearray()
+    while chunk := rx.recv(65536):
+        received.extend(chunk)
+    rx.close()
+    return bytes(received)
 
 
 class TestSignaling:
@@ -38,6 +72,26 @@ class TestSignaling:
     def test_unreachable_signaling(self):
         with pytest.raises(SignalingError):
             register_channel(("127.0.0.1", 1), "sender", 1, timeout=0.5)
+
+    @pytest.mark.parametrize(
+        "reply",
+        [
+            b"",
+            b"OK 5000\n",
+            b"OK notaport " + b"00" * 16 + b"\n",
+            b"OK 5000 nothex\n",
+            b"OK 5000 0011\n",
+            b"OK 70000 " + b"00" * 16 + b"\n",
+            b"OK 5000 " + b"00" * 16 + b" extra\n",
+        ],
+        ids=["no-reply", "no-key", "bad-port", "bad-hex", "short-key",
+             "port-range", "extra-field"],
+    )
+    def test_malformed_grant_is_signaling_error(self, reply):
+        addr, t = fake_signaling(reply)
+        with pytest.raises(SignalingError):
+            register_channel(addr, "sender", 1)
+        t.join(timeout=5)
 
     def test_bad_role_rejected(self, server):
         with pytest.raises(ValueError):
@@ -85,6 +139,11 @@ class TestAttach:
         bogus = ChannelGrant(999, server.host, server.relay_port, b"\x00" * 16)
         with pytest.raises(RelayAuthError):
             attach(bogus, "sender")
+
+    def test_refused_relay_port_is_auth_error(self):
+        grant = ChannelGrant(1, "127.0.0.1", closed_port(), b"\x00" * 16)
+        with pytest.raises(RelayAuthError, match="unreachable"):
+            attach(grant, "sender")
 
     def test_double_sender_attach_rejected(self, server):
         grant = register_channel(signal_addr(server), "sender", 12)
@@ -166,6 +225,62 @@ class TestChannelIsolation:
         for cid in range(n_channels):
             payload = payload_for(cid)
             assert digests[cid] == (len(payload), hashlib.sha256(payload).hexdigest())
+
+
+class TestChannelRelease:
+    def test_channel_id_reused_for_consecutive_sessions(self, server):
+        before = set(threading.enumerate())
+        for i in range(5):
+            payload = bytes([i]) * 20_000
+            assert run_session(server, 20, payload) == payload
+            assert wait_until(lambda: 20 not in server._channels)
+        assert wait_until(lambda: not new_threads(before))
+
+    def test_more_sequential_sessions_than_max_channels(self):
+        with RelayServer(ttl_seconds=60, max_channels=2) as srv:
+            before = set(threading.enumerate())
+            for cid in range(100, 105):
+                payload = cid.to_bytes(8, "big") * 1000
+                assert run_session(srv, cid, payload) == payload
+                assert wait_until(lambda: not srv._channels)
+            assert wait_until(lambda: not new_threads(before))
+
+    def test_sender_write_fails_when_receiver_drops(self, server):
+        before = set(threading.enumerate())
+        tx, rx = open_pair(server, 30)
+        chunk = b"\x5a" * 65536
+        tx.sendall(chunk)
+        assert rx.recv(1024)
+        rx.close()
+        deadline = time.monotonic() + 5.0
+        with pytest.raises(OSError) as err:
+            while True:
+                tx.settimeout(max(deadline - time.monotonic(), 0.01))
+                tx.sendall(chunk)
+        assert not isinstance(err.value, TimeoutError), "sender hung"
+        tx.close()
+        assert wait_until(lambda: not server._channels and not new_threads(before))
+
+    def test_live_pair_runs_on_two_relay_threads(self, server):
+        before = set(threading.enumerate())
+        tx, rx = open_pair(server, 31)
+        assert wait_until(lambda: len(new_threads(before)) == 2)
+        tx.sendall(b"ping")
+        assert rx.recv(16) == b"ping"
+        tx.close()
+        rx.close()
+        assert wait_until(lambda: not server._channels and not new_threads(before))
+
+    def test_stop_ends_live_sessions(self):
+        srv = RelayServer(ttl_seconds=60).start()
+        before = set(threading.enumerate())
+        tx, rx = open_pair(srv, 32)
+        srv.stop()
+        rx.settimeout(5)
+        assert rx.recv(16) == b""
+        tx.close()
+        rx.close()
+        assert wait_until(lambda: not new_threads(before))
 
 
 class TestTtl:

@@ -1,4 +1,5 @@
 import socket
+import struct
 import threading
 
 import pytest
@@ -25,6 +26,7 @@ from threecpt.transport import (
     FramePacket,
     PacketDecoder,
     PacketHeader,
+    deserialize_access_unit,
     deserialize_stream_header,
     encode_packet,
     recv_stream,
@@ -198,6 +200,29 @@ class TestStreams:
     def test_stream_header_survives_wire(self):
         hdr = StreamHeader(width=640, height=480, fps_num=24, fps_den=1)
         assert deserialize_stream_header(serialize_stream_header(hdr)) == hdr
+
+    @pytest.mark.parametrize(
+        "bad",
+        [{"pf": 2}, {"pf": 0}, {"dmin": -1.0}, {"dmin": 2.0, "dmax": 1.0},
+         {"dmin": 1.0, "dmax": 1.0}, {"fps_num": 0}],
+        ids=["pixel-format-2", "pixel-format-0", "negative-min", "inverted", "empty",
+             "zero-fps"],
+    )
+    def test_bad_stream_header_is_format_error(self, bad):
+        fields = {"w": 640, "h": 480, "fps_num": 30, "fps_den": 1, "dmin": 0.0,
+                  "dmax": 2.0, "pf": 1} | bad
+        raw = struct.pack(">HHHHddB", *fields.values())
+        with pytest.raises(FormatError):
+            deserialize_stream_header(raw)
+
+    @pytest.mark.parametrize(
+        "raw",
+        [bytes([9, 1, 0x52]), bytes([0, 1, 0x52]), bytes([1, 0, 0x52])],
+        ids=["codec-9", "codec-0", "ref-without-keyframe"],
+    )
+    def test_bad_access_unit_is_format_error(self, raw):
+        with pytest.raises(FormatError):
+            deserialize_access_unit(raw)
 
     def test_truncated_stream_reported(self):
         a, b = loopback()

@@ -1,6 +1,8 @@
 """Shared test helpers."""
 
 import binascii
+import socket
+import threading
 
 import numpy as np
 
@@ -26,3 +28,25 @@ def frame_checksum(frame):
     return binascii.crc32(
         frame.color.tobytes() + np.ascontiguousarray(frame.depth.codes).tobytes()
     )
+
+
+def fake_signaling(reply: bytes):
+    """A one-shot signaling listener that answers any request with reply.
+    Returns its address and the thread serving it."""
+    listener = socket.create_server(("127.0.0.1", 0))
+
+    def serve():
+        with listener:
+            conn, _ = listener.accept()
+            with conn:
+                conn.recv(1024)
+                conn.sendall(reply)
+
+    t = threading.Thread(target=serve, daemon=True)
+    t.start()
+    return listener.getsockname(), t
+
+
+def closed_port() -> int:
+    with socket.create_server(("127.0.0.1", 0)) as s:
+        return s.getsockname()[1]
