@@ -29,8 +29,6 @@ from .codec import (
     CodecId,
     EncodedAccessUnit,
     ExternalSession,
-    external_close,
-    external_open,
     ref_decode,
     ref_encode,
 )

@@ -24,7 +24,7 @@ from .errors import (
     DesyncError,
     SignalingError,
     ThreecptError,
-    TransportError,
+    TranscoderError,
     ValidationError,
 )
 from .frames import StreamHeader, suppress_background
@@ -46,6 +46,22 @@ LATE_SLACK_FRAC = 0.5
 
 def _wall_us() -> int:
     return time.time_ns() // 1000
+
+
+def _drain(q: queue.Queue) -> None:
+    """Discard queued items up to the end-of-work marker (None)."""
+    while q.get() is not None:
+        pass
+
+
+def _close_session(session, errors: list) -> None:
+    """Reap an external session, if any, recording a failure in errors."""
+    if session is None:
+        return
+    try:
+        session.close()
+    except TranscoderError as exc:
+        errors.append(exc)
 
 
 @dataclass
@@ -87,43 +103,43 @@ def run_sender(cfg: SenderConfig) -> SenderReport:
     # encode stage feeds a bounded queue; the socket writer paces and sends
     work: queue.Queue = queue.Queue(maxsize=PIPELINE_QUEUE_FRAMES)
     encode_error = []
+    stop = threading.Event()  # set when the writer fails
 
     def encode_stage():
+        session = None
         try:
-            if cfg.codec == "ref":
-                for frame in frames:
-                    if cfg.suppress_cutoff is not None:
-                        frame = suppress_background(frame, cfg.suppress_cutoff, hdr.range)
-                    work.put(codec.ref_encode(pack_superframe(frame)))
-                work.put(None)
-            else:
-                command = cfg.codec.split(":", 1)[1]
-                session = codec.external_open(hdr, command, mode="encode")
-                for frame in frames:
-                    if cfg.suppress_cutoff is not None:
-                        frame = suppress_background(frame, cfg.suppress_cutoff, hdr.range)
-                    session.send_frame(pack_superframe(frame))
-                    while (au := session.poll_unit()) is not None:
+            if cfg.codec != "ref":
+                session = codec.ExternalSession(hdr, cfg.codec.split(":", 1)[1])
+            for frame in frames:
+                if stop.is_set():
+                    break
+                if cfg.suppress_cutoff is not None:
+                    frame = suppress_background(frame, cfg.suppress_cutoff, hdr.range)
+                sf = pack_superframe(frame)
+                if session is None:
+                    work.put(codec.ref_encode(sf))
+                else:
+                    session.send_frame(sf)
+                    for au in session.units():
                         work.put(au)
+            if session is not None:
                 session.close_input()
-                while (au := session.recv_unit()) is not None:
+                for au in session.units(wait=True):
                     work.put(au)
-                session.close()
-                work.put(None)
         except Exception as exc:  # surfaced by the writer side
             encode_error.append(exc)
+        finally:
+            _close_session(session, encode_error)
             work.put(None)
 
-    threading.Thread(target=encode_stage, daemon=True).start()
+    encoder = threading.Thread(target=encode_stage, daemon=True)
+    encoder.start()
 
     clock = {"start": time.monotonic()}
+    ended = []  # the writer took the end-of-work marker
 
     def paced_units():
-        i = 0
-        while True:
-            au = work.get()
-            if au is None:
-                break
+        for i, au in enumerate(iter(work.get, None)):
             if i == 0:
                 # pacing clock starts when the first frame is ready to send,
                 # so cold-start encoding cost doesn't count as lateness
@@ -136,11 +152,17 @@ def run_sender(cfg: SenderConfig) -> SenderReport:
                 elif now - deadline > LATE_SLACK_FRAC * interval:
                     report.late_frames += 1
             yield au, _wall_us()
-            i += 1
+        ended.append(True)
 
     try:
         send = transport.send_stream(conn, hdr, paced_units(), channel_id=cfg.channel_id)
+    except BaseException:
+        stop.set()
+        if not ended:
+            _drain(work)  # unblock the encode stage so it can stop and reap
+        raise
     finally:
+        encoder.join()
         conn.close()
     if encode_error:
         raise encode_error[0]
@@ -191,20 +213,20 @@ def run_receiver(cfg: ReceiverConfig) -> tuple[ReceiverReport, LatencyReport]:
     decoded: queue.Queue = queue.Queue(maxsize=PIPELINE_QUEUE_FRAMES)
     stage_errors = []
 
-    def _drain(q):
-        while q.get() is not None:
-            pass
-
     def decode_stage(hdr: StreamHeader):
         external = None
+
+        def emit(sf):
+            frame = unpack_superframe(sf, hdr)
+            report.frames_received += 1
+            if cfg.frame_hook is not None:
+                cfg.frame_hook(frame)
+            decoded.put(frame)
+
         try:
-            while True:
-                item = work.get()
-                if item is None:
-                    break
-                packet_header, au, recv_us = item
+            for packet_header, au, recv_us in iter(work.get, None):
                 if au.codec_id is codec.CodecId.REF_LOSSLESS:
-                    sf = codec.ref_decode(au)
+                    sfs = [codec.ref_decode(au)]
                 else:
                     if external is None:
                         kind, _, command = cfg.codec.partition(":")
@@ -213,30 +235,21 @@ def run_receiver(cfg: ReceiverConfig) -> tuple[ReceiverReport, LatencyReport]:
                                 f"stream carries {au.codec_id.name} units, "
                                 f"receiver codec is {cfg.codec!r}"
                             )
-                        external = codec.external_open(hdr, command, mode="decode")
+                        external = codec.ExternalSession(hdr, command)
                     external.send_bytes(au.payload)
-                    sf = external.poll_frame()
-                    if sf is None:
-                        continue  # bitstream chunk did not complete a frame yet
-                frame = unpack_superframe(sf, hdr)
-                latency.add(recv_us, packet_header.timestamp_us)
-                report.frames_received += 1
-                if cfg.frame_hook is not None:
-                    cfg.frame_hook(frame)
-                decoded.put(frame)
+                    sfs = external.frames()
+                for sf in sfs:
+                    latency.add(recv_us, packet_header.timestamp_us)
+                    emit(sf)
             if external is not None:
                 external.close_input()
-                while (sf := external.recv_frame()) is not None:
-                    frame = unpack_superframe(sf, hdr)
-                    report.frames_received += 1
-                    if cfg.frame_hook is not None:
-                        cfg.frame_hook(frame)
-                    decoded.put(frame)
-                external.close()
+                for sf in external.frames(wait=True):
+                    emit(sf)
         except Exception as exc:
             stage_errors.append(exc)
             _drain(work)  # keep the socket side from blocking on a full queue
         finally:
+            _close_session(external, stage_errors)
             decoded.put(None)
 
     def replay_stage(hdr: StreamHeader):
@@ -264,19 +277,19 @@ def run_receiver(cfg: ReceiverConfig) -> tuple[ReceiverReport, LatencyReport]:
             stage_errors.append(exc)
             _drain(decoded)
 
-    receiver = transport.recv_stream(conn)
-    decoder = threading.Thread(target=decode_stage, args=(receiver.header,), daemon=True)
-    replayer = threading.Thread(target=replay_stage, args=(receiver.header,), daemon=True)
-    decoder.start()
-    replayer.start()
-    try:
-        for packet_header, au in receiver.units():
-            work.put((packet_header, au, _wall_us()))
-    finally:
-        work.put(None)
-        decoder.join()
-        replayer.join()
-        conn.close()
+    with conn:
+        receiver = transport.recv_stream(conn)
+        decoder = threading.Thread(target=decode_stage, args=(receiver.header,), daemon=True)
+        replayer = threading.Thread(target=replay_stage, args=(receiver.header,), daemon=True)
+        decoder.start()
+        replayer.start()
+        try:
+            for packet_header, au in receiver.units():
+                work.put((packet_header, au, _wall_us()))
+        finally:
+            work.put(None)
+            decoder.join()
+            replayer.join()
     if stage_errors:
         raise stage_errors[0]
     report.gap_count = receiver.report.gap_count

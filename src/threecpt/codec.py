@@ -5,8 +5,10 @@ Two paths:
 * REF_LOSSLESS -- a deterministic, bit-exact intra-only codec built in for
   reproducible tests and for streaming without an external encoder.
 * EXTERNAL -- a child transcoder process (H.264-class, e.g. ffmpeg) reached
-  over its standard streams, carrying the bit-exact superframe interchange
-  format on the raw side.
+  over its standard streams through ExternalSession, carrying the bit-exact
+  superframe interchange format on the raw side. Feed it with send_frame or
+  send_bytes; read its output with frames() or units(), which return what
+  has arrived so far, or everything up to EOF with ``wait=True``.
 
 REF_LOSSLESS payload layout (big-endian):
 
@@ -42,6 +44,9 @@ REF_MAGIC = 0x52
 REF_HEADER = struct.Struct(">BHH")
 
 FLAG_KEYFRAME = 0x01
+
+# largest EXTERNAL unit payload, well inside the wire's 64 MiB bound
+MAX_UNIT_BYTES = 16 * 1024 * 1024
 
 
 class CodecId(enum.Enum):
@@ -161,49 +166,38 @@ class _StdoutDrain(threading.Thread):
         self.chunks: queue.Queue = queue.Queue()
 
     def run(self):
-        while True:
+        with self.pipe:
             # read1 returns whatever the pipe has; plain read would block
             # for the full 64 KiB and sit on short transcoder flushes
-            chunk = self.pipe.read1(65536)
-            if not chunk:
-                break
-            self.chunks.put(chunk)
+            while chunk := self.pipe.read1(65536):
+                self.chunks.put(chunk)
         self.chunks.put(None)  # EOF sentinel
 
 
 class ExternalSession:
     """A child transcoder reached over its standard streams.
 
-    Raw superframes (the interchange format) go on one side, an opaque
-    bitstream on the other, depending on the mode:
+    Input goes in as raw superframes (send_frame, the interchange format)
+    or as bitstream bytes (send_bytes); output comes back as raw
+    superframes (frames) or as opaque access units (units). The command
+    decides which side is which: an encoder takes frames and gives units,
+    a decoder takes units' bytes and gives frames, and ``cat`` passes
+    frames through unchanged.
 
-    * ``transcode`` -- raw in, raw out (command does encode+decode; used for
-      round-trip quality measurement, or ``cat`` as a pass-through oracle).
-    * ``encode``    -- raw in, bitstream out, chunked at flush boundaries.
-    * ``decode``    -- bitstream in, raw out.
-
-    The feed and drain sides run concurrently (drain on a background
-    thread) so a full pipe can never deadlock the caller.
+    A background thread drains the child's stdout, so a full pipe can never
+    deadlock the feed side. Both readers return what has arrived so far
+    without blocking, or with ``wait=True`` everything up to EOF (call
+    close_input first); every wait for output is bounded by ``timeout``.
     """
 
-    def __init__(
-        self,
-        hdr: StreamHeader,
-        command: str,
-        mode: str = "transcode",
-        handshake_timeout: float = 5.0,
-    ):
-        if mode not in ("transcode", "encode", "decode"):
-            raise ValueError(f"unknown session mode {mode!r}")
+    def __init__(self, hdr: StreamHeader, command: str, timeout: float = 5.0):
         self.hdr = hdr
-        self.mode = mode
         self.frame_bytes = superframe_byte_size(hdr.width, hdr.height)
-        self.timeout = handshake_timeout
+        self.timeout = timeout
         self.report = FlushReport()
         self._pending = bytearray()
         self._closed = False
         self._eof = False
-        self._first_unit = True
         try:
             self.child = subprocess.Popen(
                 shlex.split(command),
@@ -240,114 +234,73 @@ class ExternalSession:
             raise TranscoderError(f"transcoder pipe broke: {self._diagnostics()}") from exc
         self.report.bytes_in += len(data)
 
-    # --- drain side ---
-
-    def recv_frame(self, timeout: float | None = None) -> Superframe | None:
-        """Next raw superframe from the child, or None at clean EOF."""
-        raw = self._read_exact(self.frame_bytes, timeout)
-        if raw is None:
-            return None
-        self.report.frames_out += 1
-        return Superframe.from_bytes(raw, self.hdr.width, 2 * self.hdr.height)
-
-    def recv_unit(self, timeout: float | None = None) -> EncodedAccessUnit | None:
-        """Next bitstream chunk as an access unit, or None at EOF.
-
-        Chunk boundaries are the transcoder's flush boundaries; the
-        transport layer length-delimits them, so alignment to frames is
-        not required. Only the first unit is marked keyframe (conservative
-        default when the transcoder exposes no signaling).
-        """
-        chunk = self._next_chunk(timeout)
-        if chunk is None:
-            return None
-        flags = FLAG_KEYFRAME if self._first_unit else 0
-        self._first_unit = False
-        self.report.bytes_out += len(chunk)
-        return EncodedAccessUnit(CodecId.EXTERNAL, flags, chunk)
-
-    def _next_chunk(self, timeout):
-        if self._pending:
-            chunk = bytes(self._pending)
-            self._pending.clear()
-            return chunk
-        if self._eof:
-            return None
-        try:
-            chunk = self._drain.chunks.get(timeout=timeout if timeout else self.timeout)
-        except queue.Empty:
-            raise TranscoderError(f"transcoder output timed out: {self._diagnostics()}")
-        if chunk is None:
-            self._eof = True
-        return chunk
-
-    def _read_exact(self, n: int, timeout):
-        while len(self._pending) < n:
-            if self._eof:
-                chunk = None
-            else:
-                try:
-                    chunk = self._drain.chunks.get(
-                        timeout=timeout if timeout else self.timeout
-                    )
-                except queue.Empty:
-                    raise TranscoderError(
-                        f"transcoder output timed out: {self._diagnostics()}"
-                    )
-            if chunk is None:
-                self._eof = True
-                if self._pending:
-                    raise TranscoderError(
-                        f"transcoder output ended mid-frame "
-                        f"({len(self._pending)}/{n} bytes): {self._diagnostics()}"
-                    )
-                return None
-            self._pending.extend(chunk)
-        raw = bytes(self._pending[:n])
-        del self._pending[:n]
-        self.report.bytes_out += n
-        return raw
-
-    def _drain_nowait(self) -> None:
-        while not self._eof:
-            try:
-                chunk = self._drain.chunks.get_nowait()
-            except queue.Empty:
-                return
-            if chunk is None:
-                self._eof = True
-                return
-            self._pending.extend(chunk)
-
-    def poll_unit(self) -> EncodedAccessUnit | None:
-        """recv_unit without blocking; None when nothing is buffered yet."""
-        self._drain_nowait()
-        if not self._pending:
-            return None
-        chunk = bytes(self._pending)
-        self._pending.clear()
-        flags = FLAG_KEYFRAME if self._first_unit else 0
-        self._first_unit = False
-        self.report.bytes_out += len(chunk)
-        return EncodedAccessUnit(CodecId.EXTERNAL, flags, chunk)
-
-    def poll_frame(self) -> Superframe | None:
-        """recv_frame without blocking; None until a full frame is buffered."""
-        self._drain_nowait()
-        if len(self._pending) < self.frame_bytes:
-            return None
-        raw = bytes(self._pending[: self.frame_bytes])
-        del self._pending[: self.frame_bytes]
-        self.report.bytes_out += self.frame_bytes
-        self.report.frames_out += 1
-        return Superframe.from_bytes(raw, self.hdr.width, 2 * self.hdr.height)
-
     def close_input(self) -> None:
-        """Close the child's stdin so it can flush; keep draining output."""
+        """Close the child's stdin so it can flush; output stays readable."""
         try:
             self.child.stdin.close()
         except OSError:
             pass
+
+    # --- drain side ---
+
+    def _fill(self, wait: bool) -> None:
+        """Move the drain thread's chunks into _pending: those already
+        queued, or with wait every chunk up to EOF."""
+        while not self._eof:
+            try:
+                chunk = self._drain.chunks.get(block=wait, timeout=self.timeout)
+            except queue.Empty:
+                if wait:
+                    raise TranscoderError(
+                        f"transcoder output timed out: {self._diagnostics()}"
+                    ) from None
+                return
+            if chunk is None:
+                self._eof = True
+            else:
+                self._pending.extend(chunk)
+
+    def frames(self, wait: bool = False) -> list[Superframe]:
+        """Every complete raw superframe the child has output so far (with
+        wait, up to EOF). Output that ends mid-frame is a TranscoderError."""
+        self._fill(wait)
+        size = self.frame_bytes
+        count, partial = divmod(len(self._pending), size)
+        if self._eof and partial:
+            raise TranscoderError(
+                f"transcoder output ended mid-frame ({partial}/{size} bytes): "
+                f"{self._diagnostics()}"
+            )
+        out = [
+            Superframe.from_bytes(
+                bytes(self._pending[i * size : (i + 1) * size]),
+                self.hdr.width,
+                2 * self.hdr.height,
+            )
+            for i in range(count)
+        ]
+        del self._pending[: count * size]
+        self.report.frames_out += count
+        self.report.bytes_out += count * size
+        return out
+
+    def units(self, wait: bool = False) -> list[EncodedAccessUnit]:
+        """The child's output so far (with wait, up to EOF) as access units.
+
+        Unit boundaries are wherever the output was read; the transport
+        length-delimits units, so they need not align with frames. Only the
+        first unit of the session is marked keyframe (a conservative default
+        when the transcoder exposes no signaling).
+        """
+        self._fill(wait)
+        out = []
+        for start in range(0, len(self._pending), MAX_UNIT_BYTES):
+            chunk = bytes(self._pending[start : start + MAX_UNIT_BYTES])
+            flags = FLAG_KEYFRAME if self.report.bytes_out == 0 else 0
+            self.report.bytes_out += len(chunk)
+            out.append(EncodedAccessUnit(CodecId.EXTERNAL, flags, chunk))
+        self._pending.clear()
+        return out
 
     def _diagnostics(self) -> str:
         code = self.child.poll()
@@ -356,49 +309,22 @@ class ExternalSession:
     # --- lifecycle ---
 
     def close(self) -> FlushReport:
-        """Close input, drain remaining output, reap the child. Idempotent."""
+        """Close input, discard unread output and reap the child; raises
+        TranscoderError if the child exits nonzero. Idempotent."""
         if self._closed:
             return self.report
         self._closed = True
-        try:
-            self.child.stdin.close()
-        except OSError:
-            pass
-        # drain everything still in flight
-        while not self._eof:
-            try:
-                chunk = self._drain.chunks.get(timeout=self.timeout)
-            except queue.Empty:
-                self.child.kill()
-                break
-            if chunk is None:
-                self._eof = True
-                break
-            self._pending.extend(chunk)
-        if self.mode != "decode":
-            while len(self._pending) >= self.frame_bytes and self.mode == "transcode":
-                del self._pending[: self.frame_bytes]
-                self.report.frames_out += 1
-                self.report.bytes_out += self.frame_bytes
+        self.close_input()
         try:
             returncode = self.child.wait(timeout=self.timeout)
         except subprocess.TimeoutExpired:
             self.child.kill()
             returncode = self.child.wait()
+        self._drain.join(self.timeout)
         self.report.stderr = self.child.stderr.read() or b""
         self.child.stderr.close()
-        self.child.stdout.close()
         if returncode != 0:
             raise TranscoderError(
                 f"transcoder exited {returncode}: {self.report.stderr[-2000:]!r}"
             )
         return self.report
-
-
-def external_open(hdr: StreamHeader, command: str, mode: str = "transcode") -> ExternalSession:
-    """Spawn an external transcoder session; see ExternalSession."""
-    return ExternalSession(hdr, command, mode=mode)
-
-
-def external_close(session: ExternalSession) -> FlushReport:
-    return session.close()

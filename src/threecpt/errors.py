@@ -33,11 +33,11 @@ class DesyncError(ThreecptError):
     """Wire bytes lost packet alignment; the connection must be dropped."""
 
 
-class VersionError(ThreecptError):
+class VersionError(DesyncError):
     """Unsupported wire protocol version."""
 
 
-class SanityError(ThreecptError):
+class SanityError(DesyncError):
     """A wire field exceeds its sanity bound."""
 
 

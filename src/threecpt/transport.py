@@ -67,6 +67,8 @@ class PacketHeader:
             raise DesyncError(f"bad packet magic {magic!r}")
         if version != VERSION:
             raise VersionError(f"unsupported wire version {version}")
+        if ptype not in (PTYPE_STREAM_HEADER, PTYPE_ACCESS_UNIT, PTYPE_END_OF_STREAM):
+            raise DesyncError(f"unknown packet type {ptype}")
         if plen > MAX_PAYLOAD:
             raise SanityError(f"payload_len {plen} exceeds {MAX_PAYLOAD}")
         return cls(ptype, flags, channel_id, seq, ts, plen)
@@ -262,8 +264,6 @@ class StreamReceiver:
                 return
             if packet.header.ptype == PTYPE_STREAM_HEADER:
                 raise ProtocolError("duplicate STREAM_HEADER mid-stream")
-            if packet.header.ptype != PTYPE_ACCESS_UNIT:
-                raise ProtocolError(f"unknown ptype {packet.header.ptype}")
             if packet.header.seq < expected_seq:
                 raise ProtocolError(
                     f"seq went backwards: {packet.header.seq} < {expected_seq}"

@@ -279,16 +279,13 @@ def test_criterion_9_external_h264_depth_error(capsys):
     decode = (
         "ffmpeg -loglevel error -f h264 -i - -f rawvideo -pix_fmt rgb0 -"
     )
-    session = codec.external_open(hdr, f"sh -c '{command} | {decode}'")
+    session = codec.ExternalSession(hdr, f"sh -c '{command} | {decode}'", timeout=30)
     max_err = 0
     decoded = 0
     for frame in frames:
         session.send_frame(pack_superframe(frame))
     session.close_input()
-    for frame in frames:
-        sf = session.recv_frame(timeout=30)
-        if sf is None:
-            break
+    for sf in session.frames(wait=True)[: len(frames)]:
         depth_half = sf.data[480:, :, :3].astype(np.int16)
         recovered = np.floor(depth_half.sum(axis=2) / 3.0 + 0.5).astype(np.int16)
         err = np.abs(recovered - frames[decoded].depth.codes.astype(np.int16)).max()

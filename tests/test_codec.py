@@ -9,10 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from threecpt.codec import (
+    MAX_UNIT_BYTES,
     CodecId,
     EncodedAccessUnit,
-    external_close,
-    external_open,
+    ExternalSession,
     ref_decode,
     ref_encode,
 )
@@ -137,85 +137,114 @@ class TestExternalSession:
     HDR = StreamHeader(width=8, height=6)
 
     def test_passthrough_roundtrip_identity(self):
-        session = external_open(self.HDR, CAT)
+        session = ExternalSession(self.HDR, CAT)
         sf = random_superframe(8, 6, seed=5)
         session.send_frame(sf)
-        out = session.recv_frame(timeout=5)
-        assert out == sf
+        session.close_input()
+        assert session.frames(wait=True) == [sf]
         session.close()
 
     def test_nonexistent_command_spawn_error(self):
         with pytest.raises(TranscoderError):
-            external_open(self.HDR, "/nonexistent/transcoder-binary")
+            ExternalSession(self.HDR, "/nonexistent/transcoder-binary")
 
     def test_thirty_frames_in_order(self):
-        session = external_open(self.HDR, CAT)
+        session = ExternalSession(self.HDR, CAT)
         frames = [random_superframe(8, 6, seed=i) for i in range(30)]
         decoded = []
         for sf in frames:
             session.send_frame(sf)
-            decoded.append(session.recv_frame(timeout=5))
-        report = external_close(session)
+            decoded += session.frames()
+        session.close_input()
+        decoded += session.frames(wait=True)
+        report = session.close()
         assert decoded == frames
         assert report.frames_in == report.frames_out == 30
 
-    def test_close_counts_unread_frames(self):
-        session = external_open(self.HDR, CAT)
+    def test_frames_wait_reads_to_eof(self):
+        session = ExternalSession(self.HDR, CAT)
         for i in range(4):
             session.send_frame(random_superframe(8, 6, seed=i))
+        session.close_input()
+        assert len(session.frames(wait=True)) == 4
         report = session.close()
         assert report.frames_in == report.frames_out == 4
 
+    def test_frames_returns_every_frame_a_write_completes(self):
+        session = ExternalSession(self.HDR, CAT)
+        frames = [random_superframe(8, 6, seed=i) for i in range(2)]
+        session.send_bytes(b"".join(sf.tobytes() for sf in frames))
+        deadline = time.monotonic() + 5
+        while not (decoded := session.frames()) and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert decoded == frames
+        session.close()
+
+    def test_partial_trailing_frame_is_error(self):
+        session = ExternalSession(self.HDR, CAT)
+        session.send_bytes(random_superframe(8, 6).tobytes()[:-1])
+        session.close_input()
+        with pytest.raises(TranscoderError, match="mid-frame"):
+            session.frames(wait=True)
+        session.close()
+
     def test_close_is_idempotent(self):
-        session = external_open(self.HDR, CAT)
+        session = ExternalSession(self.HDR, CAT)
         first = session.close()
         assert session.close() is first
 
     def test_child_killed_mid_stream_errors_not_hangs(self):
-        session = external_open(self.HDR, CAT, mode="transcode")
+        session = ExternalSession(self.HDR, CAT)
         session.send_frame(random_superframe(8, 6))
-        assert session.recv_frame(timeout=5) is not None
         session.child.send_signal(signal.SIGKILL)
         time.sleep(0.1)
         start = time.monotonic()
         with pytest.raises(TranscoderError):
             session.send_frame(random_superframe(8, 6, seed=1))
-            session.recv_frame(timeout=2)
+        with pytest.raises(TranscoderError, match="exited -9"):
             session.close()
         assert time.monotonic() - start < 10
 
-    def test_encode_mode_units_reassemble(self):
-        enc = external_open(self.HDR, CAT, mode="encode")
-        dec = external_open(self.HDR, CAT, mode="decode")
+    def test_units_reassemble_to_frames(self):
+        enc = ExternalSession(self.HDR, CAT)
+        dec = ExternalSession(self.HDR, CAT)
         frames = [random_superframe(8, 6, seed=i) for i in range(5)]
+        units = []
         for sf in frames:
             enc.send_frame(sf)
+            units += enc.units()
         enc.close_input()
-        units = []
-        while (au := enc.recv_unit(timeout=5)) is not None:
-            units.append(au)
+        units += enc.units(wait=True)
         assert units and units[0].keyframe and not any(u.keyframe for u in units[1:])
         for au in units:
             dec.send_bytes(au.payload)
         dec.close_input()
-        decoded = []
-        while (sf := dec.recv_frame(timeout=5)) is not None:
-            decoded.append(sf)
-        assert decoded == frames
+        assert dec.frames(wait=True) == frames
         enc.close()
         dec.close()
 
+    def test_units_stay_within_the_unit_bound(self):
+        size = MAX_UNIT_BYTES + 1000
+        session = ExternalSession(self.HDR, f"head -c {size} /dev/zero")
+        session.close_input()
+        units = session.units(wait=True)
+        assert [len(u.payload) for u in units] == [MAX_UNIT_BYTES, 1000]
+        session.close()
+
     def test_session_rejects_mismatched_dimensions(self):
-        session = external_open(self.HDR, CAT)
+        session = ExternalSession(self.HDR, CAT)
         with pytest.raises(AdapterError):
             session.send_frame(random_superframe(4, 4))
         session.close()
 
     def test_raw_side_carries_exact_interchange_bytes(self):
         sf = random_superframe(8, 6, seed=9)
-        session = external_open(self.HDR, CAT)
+        session = ExternalSession(self.HDR, CAT)
         session.send_frame(sf)
-        out = session.recv_frame(timeout=5)
+        session.close_input()
+        (out,) = session.frames(wait=True)
         assert out.tobytes() == sf.tobytes()
         assert len(sf.tobytes()) == superframe_byte_size(8, 6)
         session.close()
+
+

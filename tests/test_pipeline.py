@@ -2,15 +2,23 @@
 
 import json
 import shutil
+import socket
 import threading
 
 import pytest
 
-from threecpt import cli, container
-from threecpt.errors import AdapterError
+from threecpt import cli, codec, container, transport
+from threecpt.errors import AdapterError, TransportError
 from threecpt.relay import RelayServer
 
-from util import closed_port, fake_signaling, frame_checksum
+from util import (
+    closed_port,
+    fake_relay,
+    fake_signaling,
+    frame_checksum,
+    new_threads,
+    wait_until,
+)
 
 CAT = shutil.which("cat") or "cat"
 
@@ -111,6 +119,39 @@ class TestEndToEnd:
         t.join(timeout=30)
         assert not t.is_alive(), "sender did not finish"
 
+    def test_sender_stops_and_reaps_when_the_peer_drops(self, tmp_path, monkeypatch):
+        path, _ = write_stream(tmp_path, frames=20)
+        sessions = []
+
+        class RecordedSession(codec.ExternalSession):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                sessions.append(self)
+
+        monkeypatch.setattr(codec, "ExternalSession", RecordedSession)
+        before = set(threading.enumerate())
+        grant, _ = fake_relay(lambda conn: conn.recv(1000, socket.MSG_WAITALL))
+        addr, _ = fake_signaling(grant)
+        cfg = cli.SenderConfig(
+            source=str(path), signal_addr=addr, channel_id=9, codec=f"external:{CAT}", fps=50
+        )
+        raised = []
+
+        def send():
+            try:
+                cli.run_sender(cfg)
+            except TransportError as exc:
+                raised.append(exc)
+
+        t = threading.Thread(target=send, daemon=True)
+        t.start()
+        t.join(timeout=10)
+        assert not t.is_alive(), "run_sender did not return"
+        assert raised
+        assert wait_until(lambda: not new_threads(before), timeout=2)
+        assert len(sessions) == 1 and sessions[0].child.returncode is not None
+        assert sessions[0].report.frames_in < 20  # the encode stage stopped early
+
     def test_dump_mode_writes_files(self, server, tmp_path):
         hdr, fs = container.gen_synthetic(640, 480, (30, 1), 2)
         path = tmp_path / "full.rgbz"
@@ -180,6 +221,16 @@ class TestCliMains:
             code = cli.recv_main(args)
         t.join(timeout=5)
         assert code == cli.EXIT_TRANSPORT
+
+    def test_recv_main_wire_version_mismatch_is_desync(self):
+        header = bytearray(transport.PacketHeader(transport.PTYPE_STREAM_HEADER).pack())
+        header[4] = 2  # wire version
+        grant, relay_t = fake_relay(lambda conn: conn.sendall(bytes(header)))
+        (host, port), signal_t = fake_signaling(grant)
+        code = cli.recv_main(["--signal", f"{host}:{port}", "--channel", "9"])
+        relay_t.join(timeout=5)
+        signal_t.join(timeout=5)
+        assert code == cli.EXIT_DESYNC
 
     def test_send_and_recv_mains_loopback(self, server, tmp_path, capsys):
         path, _ = write_stream(tmp_path, frames=4)

@@ -7,7 +7,7 @@ import pytest
 from threecpt.errors import RelayAuthError, SignalingError
 from threecpt.relay import ChannelGrant, RelayServer, attach, register_channel
 
-from util import closed_port, fake_signaling
+from util import closed_port, fake_signaling, new_threads, wait_until
 
 
 @pytest.fixture
@@ -18,19 +18,6 @@ def server():
 
 def signal_addr(srv):
     return (srv.host, srv.signal_port)
-
-
-def wait_until(cond, timeout=5.0):
-    deadline = time.monotonic() + timeout
-    while not cond():
-        if time.monotonic() > deadline:
-            return False
-        time.sleep(0.01)
-    return True
-
-
-def new_threads(before):
-    return [t for t in threading.enumerate() if t not in before]
 
 
 def open_pair(srv, cid):

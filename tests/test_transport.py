@@ -88,6 +88,12 @@ class TestPacketLayout:
         with pytest.raises(VersionError):
             PacketDecoder().feed(bytes(wire))
 
+    def test_unknown_ptype_is_desync(self):
+        wire = bytearray(encode_packet(FramePacket(PacketHeader(PTYPE_END_OF_STREAM))))
+        wire[5] = 3
+        with pytest.raises(DesyncError):
+            PacketDecoder().feed(bytes(wire))
+
     def test_payload_sanity_bound(self):
         wire = bytearray(PacketHeader(PTYPE_ACCESS_UNIT).pack())
         wire[-4:] = (MAX_PAYLOAD + 1).to_bytes(4, "big")
@@ -181,6 +187,19 @@ class TestStreams:
         assert result["header"] == self.HDR
         assert result["units"] == []
         assert not result["report"].truncated
+
+    @pytest.mark.parametrize("n", [0, 5])
+    def test_end_of_stream_seq_is_unit_count(self, n):
+        a, b = loopback()
+        report = send_stream(a, self.HDR, [(unit(i), i) for i in range(n)])
+        a.close()
+        wire = bytearray()
+        while chunk := b.recv(65536):
+            wire += chunk
+        b.close()
+        last = PacketDecoder().feed(bytes(wire))[-1].header
+        assert last.ptype == PTYPE_END_OF_STREAM
+        assert last.seq == report.units_sent == n
 
     def test_n_units_n_plus_two_packets(self):
         units = [(unit(i), i * 1000) for i in range(5)]

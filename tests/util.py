@@ -3,10 +3,12 @@
 import binascii
 import socket
 import threading
+import time
 
 import numpy as np
 
 from threecpt.frames import ColorImage, DepthMap, RgbzFrame
+from threecpt.relay import _PREAMBLE, ACCEPTED
 
 
 def make_frame(width, height, seed=0, timestamp_us=0, seq=0):
@@ -47,6 +49,40 @@ def fake_signaling(reply: bytes):
     return listener.getsockname(), t
 
 
+def fake_relay(serve):
+    """A one-shot relay listener that accepts any attach preamble, then runs
+    serve(conn) on the attached connection and closes it. Returns a grant
+    line for fake_signaling that points at it, and the thread serving it."""
+    listener = socket.create_server(("127.0.0.1", 0))
+
+    def run():
+        with listener:
+            conn, _ = listener.accept()
+            with conn:
+                conn.recv(_PREAMBLE.size, socket.MSG_WAITALL)
+                conn.sendall(ACCEPTED)
+                serve(conn)
+
+    t = threading.Thread(target=run, daemon=True)
+    t.start()
+    return f"OK {listener.getsockname()[1]} {'00' * 16}\n".encode(), t
+
+
 def closed_port() -> int:
     with socket.create_server(("127.0.0.1", 0)) as s:
         return s.getsockname()[1]
+
+
+def wait_until(cond, timeout=5.0):
+    """Poll cond until it is true; False if timeout seconds pass first."""
+    deadline = time.monotonic() + timeout
+    while not cond():
+        if time.monotonic() > deadline:
+            return False
+        time.sleep(0.01)
+    return True
+
+
+def new_threads(before):
+    """Live threads that are not in the collection before."""
+    return [t for t in threading.enumerate() if t not in before]
