@@ -1,14 +1,18 @@
 """Display-side geometry chain: frame -> 2048x2048 SLM element buffer.
 
-Takes one synthetic 640x480 frame through upscale (2x), field embedding
-(centered in 2048x1024), and zero padding to the 2048x2048 modulator, then
-runs the sink validator and prints its stats. Pass a directory argument to
-also dump the color plane (PPM) and depth plane (PGM) for inspection:
+Takes one synthetic 640x480 frame through replay.prepare_for_replay, which
+upscales it 2x straight into its window, centered in the 2048x1024 field
+at the top of the zero 2048x2048 modulator buffer. Then runs the sink
+validator and prints its stats and a per-channel summary of the window.
+Pass a directory argument to also dump the color plane (PPM) and depth
+plane (PGM) for inspection:
 
     python demos/replay_prep.py [dump_dir]
 """
 
 import sys
+
+import numpy as np
 
 from threecpt import container, replay
 
@@ -32,7 +36,10 @@ def main():
     print(f"nonzero elements: {stats.nonzero_elements} "
           f"({100 * stats.nonzero_elements / total:.1f}% of the modulator)")
     print(f"embed-window checksum (adler32): 0x{stats.checksum_adler32:08x}")
-    for name, hist in stats.histograms.items():
+    window = buf.elements[replay.EMBED_Y : replay.EMBED_Y + replay.UPSCALED_HEIGHT,
+                          replay.EMBED_X : replay.EMBED_X + replay.UPSCALED_WIDTH]
+    for i, name in enumerate("RGBZ"):
+        hist = np.bincount(window[:, :, i].ravel(), minlength=256)
         lit = int(hist[1:].sum())
         print(f"channel {name}: {lit} non-black samples, "
               f"peak code {int(hist[1:].argmax()) + 1 if lit else 0}")

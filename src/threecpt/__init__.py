@@ -41,14 +41,7 @@ from .transport import (
     send_stream,
 )
 from .relay import ChannelGrant, RelayServer, attach, register_channel
-from .replay import (
-    SlmBuffer,
-    embed_in_field,
-    pad_to_slm,
-    prepare_for_replay,
-    sink_consume,
-    upscale_frame,
-)
+from .replay import SlmBuffer, prepare_for_replay, sink_consume
 from .container import gen_synthetic, read_container, write_container
 from .latency import LatencyReport
 

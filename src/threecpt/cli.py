@@ -3,8 +3,9 @@
 The sender and receiver are also importable as run_sender / run_receiver so
 integration tests can drive loopback pipelines in-process.
 
-Exit codes: 0 success, 2 source error, 3 signaling error, 4 relay/transport
-error, 5 protocol desync, 6 validation-failure threshold exceeded.
+Exit codes: 0 success, 2 source error or bad argument, 3 signaling error,
+4 relay/transport error, 5 protocol desync, 6 validation-failure threshold
+exceeded.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import queue
+import shlex
 import sys
 import threading
 import time
@@ -33,6 +35,7 @@ from .superframe import pack_superframe, superframe_byte_size, unpack_superframe
 
 EXIT_OK = 0
 EXIT_SOURCE = 2
+EXIT_USAGE = 2  # argparse's code for a bad argument
 EXIT_SIGNALING = 3
 EXIT_TRANSPORT = 4
 EXIT_DESYNC = 5
@@ -52,6 +55,20 @@ def _drain(q: queue.Queue) -> None:
     """Discard queued items up to the end-of-work marker (None)."""
     while q.get() is not None:
         pass
+
+
+def parse_codec(value: str) -> str | None:
+    """A --codec value: None for the built-in "ref" codec, or the command
+    of "external:<command>". Raises ValueError on any other kind and on an
+    empty or unparsable command."""
+    if value == "ref":
+        return None
+    kind, sep, command = value.partition(":")
+    if kind != "external" or not sep:
+        raise ValueError(f"unknown codec {value!r} (expected ref or external:<command>)")
+    if not shlex.split(command):
+        raise ValueError(f"codec {value!r} has an empty command")
+    return command
 
 
 def _close_session(session, errors: list) -> None:
@@ -90,6 +107,7 @@ class SenderReport:
 def run_sender(cfg: SenderConfig) -> SenderReport:
     """File source -> pack -> encode -> relay. Raises on setup failures;
     the CLI wrapper maps exception types to exit codes."""
+    command = parse_codec(cfg.codec)
     hdr, frames = container.read_container(cfg.source)
     fps = hdr.fps if cfg.fps is None else cfg.fps
     interval = 0.0 if fps == 0 else 1.0 / fps
@@ -100,7 +118,10 @@ def run_sender(cfg: SenderConfig) -> SenderReport:
         superframe_bytes_per_frame=superframe_byte_size(hdr.width, hdr.height)
     )
 
-    # encode stage feeds a bounded queue; the socket writer paces and sends
+    # encode stage feeds a bounded queue, one list of units per frame (an
+    # external encoder may have output nothing yet, or several frames at
+    # once), so the stage runs at most PIPELINE_QUEUE_FRAMES frames ahead;
+    # the socket writer paces frames and sends their units
     work: queue.Queue = queue.Queue(maxsize=PIPELINE_QUEUE_FRAMES)
     encode_error = []
     stop = threading.Event()  # set when the writer fails
@@ -108,8 +129,8 @@ def run_sender(cfg: SenderConfig) -> SenderReport:
     def encode_stage():
         session = None
         try:
-            if cfg.codec != "ref":
-                session = codec.ExternalSession(hdr, cfg.codec.split(":", 1)[1])
+            if command is not None:
+                session = codec.ExternalSession(hdr, command)
             for frame in frames:
                 if stop.is_set():
                     break
@@ -117,15 +138,13 @@ def run_sender(cfg: SenderConfig) -> SenderReport:
                     frame = suppress_background(frame, cfg.suppress_cutoff, hdr.range)
                 sf = pack_superframe(frame)
                 if session is None:
-                    work.put(codec.ref_encode(sf))
+                    work.put([codec.ref_encode(sf)])
                 else:
                     session.send_frame(sf)
-                    for au in session.units():
-                        work.put(au)
+                    work.put(session.units())
             if session is not None:
                 session.close_input()
-                for au in session.units(wait=True):
-                    work.put(au)
+                work.put(session.units(wait=True))
         except Exception as exc:  # surfaced by the writer side
             encode_error.append(exc)
         finally:
@@ -139,7 +158,7 @@ def run_sender(cfg: SenderConfig) -> SenderReport:
     ended = []  # the writer took the end-of-work marker
 
     def paced_units():
-        for i, au in enumerate(iter(work.get, None)):
+        for i, units in enumerate(iter(work.get, None)):
             if i == 0:
                 # pacing clock starts when the first frame is ready to send,
                 # so cold-start encoding cost doesn't count as lateness
@@ -151,7 +170,8 @@ def run_sender(cfg: SenderConfig) -> SenderReport:
                     time.sleep(deadline - now)
                 elif now - deadline > LATE_SLACK_FRAC * interval:
                     report.late_frames += 1
-            yield au, _wall_us()
+            for au in units:
+                yield au, _wall_us()
         ended.append(True)
 
     try:
@@ -201,6 +221,7 @@ class ReceiverReport:
 
 def run_receiver(cfg: ReceiverConfig) -> tuple[ReceiverReport, LatencyReport]:
     """Relay -> decode -> unpack -> replay prep -> sink, with latency samples."""
+    command = parse_codec(cfg.codec)
     grant = relay.register_channel(cfg.signal_addr, "receiver", cfg.channel_id)
     conn = relay.attach(grant, "receiver")
     report = ReceiverReport()
@@ -229,8 +250,7 @@ def run_receiver(cfg: ReceiverConfig) -> tuple[ReceiverReport, LatencyReport]:
                     sfs = [codec.ref_decode(au)]
                 else:
                     if external is None:
-                        kind, _, command = cfg.codec.partition(":")
-                        if kind != "external":
+                        if command is None:
                             raise AdapterError(
                                 f"stream carries {au.codec_id.name} units, "
                                 f"receiver codec is {cfg.codec!r}"
@@ -308,6 +328,18 @@ def _addr(text: str) -> tuple:
     return host or "127.0.0.1", int(port)
 
 
+def _codec_error(p: argparse.ArgumentParser, value: str) -> int | None:
+    """EXIT_USAGE, after argparse's usage message, if value is not a valid
+    --codec; None if it is."""
+    try:
+        parse_codec(value)
+    except ValueError as exc:
+        p.print_usage(sys.stderr)
+        print(f"{p.prog}: error: argument --codec: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    return None
+
+
 def gen_main(argv=None) -> int:
     p = argparse.ArgumentParser(prog="rgbz-gen", description="Render a synthetic .rgbz container")
     p.add_argument("--width", type=int, default=640)
@@ -340,6 +372,8 @@ def send_main(argv=None) -> int:
     p.add_argument("--as-fast-as-possible", action="store_true")
     p.add_argument("--suppress-background", type=float, default=None, metavar="DIOPTERS")
     args = p.parse_args(argv)
+    if (code := _codec_error(p, args.codec)) is not None:
+        return code
     cfg = SenderConfig(
         source=args.input,
         signal_addr=args.signal,
@@ -374,6 +408,8 @@ def recv_main(argv=None) -> int:
     p.add_argument("--latency-json", default=None)
     p.add_argument("--max-validation-failures", type=int, default=0)
     args = p.parse_args(argv)
+    if (code := _codec_error(p, args.codec)) is not None:
+        return code
     cfg = ReceiverConfig(
         signal_addr=args.signal,
         channel_id=args.channel,

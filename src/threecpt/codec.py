@@ -48,6 +48,9 @@ FLAG_KEYFRAME = 0x01
 # largest EXTERNAL unit payload, well inside the wire's 64 MiB bound
 MAX_UNIT_BYTES = 16 * 1024 * 1024
 
+# how much of a transcoder's stderr a session keeps for its error messages
+STDERR_TAIL_BYTES = 4096
+
 
 class CodecId(enum.Enum):
     REF_LOSSLESS = 1
@@ -154,7 +157,7 @@ class FlushReport:
     frames_out: int = 0
     bytes_in: int = 0
     bytes_out: int = 0
-    stderr: bytes = b""
+    stderr: bytes = b""  # the child's last STDERR_TAIL_BYTES of stderr
 
 
 class _StdoutDrain(threading.Thread):
@@ -174,6 +177,21 @@ class _StdoutDrain(threading.Thread):
         self.chunks.put(None)  # EOF sentinel
 
 
+class _StderrTail(threading.Thread):
+    """Reads child stderr while the child runs, keeping only the last
+    STDERR_TAIL_BYTES, so a chatty transcoder can't block on a full pipe."""
+
+    def __init__(self, pipe):
+        super().__init__(daemon=True)
+        self.pipe = pipe
+        self.tail = b""
+
+    def run(self):
+        with self.pipe:
+            while chunk := self.pipe.read1(65536):
+                self.tail = (self.tail + chunk)[-STDERR_TAIL_BYTES:]
+
+
 class ExternalSession:
     """A child transcoder reached over its standard streams.
 
@@ -184,10 +202,11 @@ class ExternalSession:
     a decoder takes units' bytes and gives frames, and ``cat`` passes
     frames through unchanged.
 
-    A background thread drains the child's stdout, so a full pipe can never
-    deadlock the feed side. Both readers return what has arrived so far
-    without blocking, or with ``wait=True`` everything up to EOF (call
-    close_input first); every wait for output is bounded by ``timeout``.
+    Background threads drain the child's stdout and stderr, so a full pipe
+    can never deadlock the feed side or the child. Both readers return what
+    has arrived so far without blocking, or with ``wait=True`` everything
+    up to EOF (call close_input first); every wait for output is bounded by
+    ``timeout``.
     """
 
     def __init__(self, hdr: StreamHeader, command: str, timeout: float = 5.0):
@@ -199,8 +218,14 @@ class ExternalSession:
         self._closed = False
         self._eof = False
         try:
+            argv = shlex.split(command)
+        except ValueError as exc:
+            raise TranscoderError(f"cannot parse transcoder {command!r}: {exc}") from exc
+        if not argv:
+            raise TranscoderError("empty transcoder command")
+        try:
             self.child = subprocess.Popen(
-                shlex.split(command),
+                argv,
                 stdin=subprocess.PIPE,
                 stdout=subprocess.PIPE,
                 stderr=subprocess.PIPE,
@@ -209,6 +234,8 @@ class ExternalSession:
             raise TranscoderError(f"cannot spawn transcoder {command!r}: {exc}") from exc
         self._drain = _StdoutDrain(self.child.stdout)
         self._drain.start()
+        self._stderr = _StderrTail(self.child.stderr)
+        self._stderr.start()
 
     # --- feed side ---
 
@@ -304,7 +331,7 @@ class ExternalSession:
 
     def _diagnostics(self) -> str:
         code = self.child.poll()
-        return f"exit={code} stderr={self.report.stderr[-500:]!r}"
+        return f"exit={code} stderr={self._stderr.tail[-500:]!r}"
 
     # --- lifecycle ---
 
@@ -321,8 +348,8 @@ class ExternalSession:
             self.child.kill()
             returncode = self.child.wait()
         self._drain.join(self.timeout)
-        self.report.stderr = self.child.stderr.read() or b""
-        self.child.stderr.close()
+        self._stderr.join(self.timeout)
+        self.report.stderr = self._stderr.tail
         if returncode != 0:
             raise TranscoderError(
                 f"transcoder exited {returncode}: {self.report.stderr[-2000:]!r}"

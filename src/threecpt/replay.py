@@ -1,10 +1,12 @@
 """Receiver-side geometry chain producing SLM-ready RGBZ buffers.
 
-The decoded 640x480 frame is upscaled 2x to 1280x960, embedded centered in
-the 2048x1024 effective field, then zero-padded (top-aligned) to the full
-2048x2048 SLM resolution. Each element is 4 bytes: R, G, B, Z, where Z is
-the 8-bit quantized disparity code and the sidecar DisparityRange says how
-to read it in diopters.
+prepare_for_replay is the whole chain in one pass: the decoded 640x480
+frame is upscaled 2x to 1280x960 straight into its window, centered in the
+2048x1024 effective field, which is the top half of the zero-filled
+2048x2048 SLM buffer. Each element is 4 bytes: R, G, B, Z, where Z is the
+8-bit quantized disparity code and the sidecar DisparityRange says how to
+read it in diopters. sink_consume validates a buffer and stands in for the
+hologram engine handoff.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DimensionError, ValidationError
-from .frames import ColorImage, DepthMap, DisparityRange, RgbzFrame
+from .frames import DisparityRange, RgbzFrame
 
 SLM_WIDTH = 2048
 SLM_HEIGHT = 2048
@@ -58,92 +60,17 @@ class SlmBuffer:
 class SinkStats:
     nonzero_elements: int
     checksum_adler32: int
-    histograms: dict  # channel name -> 256-bin counts
-
-
-def upscale_frame(frame: RgbzFrame, mode: str = "nearest") -> RgbzFrame:
-    """2x upscale. Nearest replicates each pixel into a 2x2 block; bilinear
-    interpolates the color channels under half-pixel-center alignment but
-    keeps depth nearest (interpolated depth codes fabricate surfaces)."""
-    if mode not in ("nearest", "bilinear"):
-        raise ValueError(f"unknown resample mode {mode!r}")
-    codes = np.repeat(np.repeat(frame.depth.codes, 2, axis=0), 2, axis=1)
-    validity = np.repeat(np.repeat(frame.depth.validity, 2, axis=0), 2, axis=1)
-    if mode == "nearest":
-        color = np.repeat(np.repeat(frame.color.data, 2, axis=0), 2, axis=1)
-    else:
-        color = _bilinear_2x(frame.color.data[:, :, :3])
-    out = np.zeros(color.shape[:2] + (4,), dtype=np.uint8)
-    out[:, :, :3] = color[:, :, :3]
-    return RgbzFrame(
-        color=ColorImage(out),
-        depth=DepthMap(codes, validity),
-        timestamp_us=frame.timestamp_us,
-        seq=frame.seq,
-    )
-
-
-def _bilinear_2x(channels: np.ndarray) -> np.ndarray:
-    """2x bilinear with half-pixel centers: destination pixel d samples the
-    source at (d + 0.5) / 2 - 0.5, clamped at the edges. For the 2x case
-    the weights are the fixed 0.75/0.25 pattern."""
-    h, w = channels.shape[:2]
-    src = channels.astype(np.float64)
-
-    def axis_coords(n):
-        pos = (np.arange(2 * n) + 0.5) / 2.0 - 0.5
-        lo = np.clip(np.floor(pos).astype(int), 0, n - 1)
-        hi = np.clip(lo + 1, 0, n - 1)
-        frac = np.clip(pos - np.floor(pos), 0.0, 1.0)
-        # clamp beyond-edge samples onto the edge pixel
-        frac[pos < 0] = 0.0
-        frac[pos > n - 1] = 0.0
-        lo[pos > n - 1] = n - 1
-        return lo, hi, frac
-
-    ylo, yhi, fy = axis_coords(h)
-    xlo, xhi, fx = axis_coords(w)
-    fy = fy[:, None, None]
-    fx = fx[None, :, None]
-    top = src[ylo][:, xlo] * (1 - fx) + src[ylo][:, xhi] * fx
-    bot = src[yhi][:, xlo] * (1 - fx) + src[yhi][:, xhi] * fx
-    out = top * (1 - fy) + bot * fy
-    return np.floor(out + 0.5).astype(np.uint8)
-
-
-def embed_in_field(frame: RgbzFrame) -> np.ndarray:
-    """Place a 1280x960 frame centered in the 2048x1024 zero field.
-
-    Returns a (1024, 2048, 4) uint8 array of (R, G, B, Z) elements.
-    """
-    if (frame.width, frame.height) != (UPSCALED_WIDTH, UPSCALED_HEIGHT):
-        raise DimensionError(
-            f"field embed expects {UPSCALED_WIDTH}x{UPSCALED_HEIGHT}, "
-            f"got {frame.width}x{frame.height}"
-        )
-    field = np.zeros((FIELD_HEIGHT, FIELD_WIDTH, 4), dtype=np.uint8)
-    window = field[EMBED_Y : EMBED_Y + UPSCALED_HEIGHT, EMBED_X : EMBED_X + UPSCALED_WIDTH]
-    window[:, :, :3] = frame.color.data[:, :, :3]
-    window[:, :, 3] = frame.depth.codes
-    return field
-
-
-def pad_to_slm(field: np.ndarray, rng: DisparityRange) -> SlmBuffer:
-    """Zero-pad the 2048x1024 field (top-aligned) to the 2048x2048 SLM."""
-    if field.shape != (FIELD_HEIGHT, FIELD_WIDTH, 4) or field.dtype != np.uint8:
-        raise DimensionError(
-            f"expected ({FIELD_HEIGHT}, {FIELD_WIDTH}, 4) uint8 field, "
-            f"got {field.shape} {field.dtype}"
-        )
-    elements = np.zeros((SLM_HEIGHT, SLM_WIDTH, 4), dtype=np.uint8)
-    elements[:FIELD_HEIGHT] = field
-    return SlmBuffer(elements=elements, range=rng)
 
 
 def prepare_for_replay(
     frame: RgbzFrame, rng: DisparityRange, mode: str = "nearest"
 ) -> SlmBuffer:
-    """Full geometry chain: 640x480 -> 1280x960 -> field -> SLM buffer."""
+    """Full geometry chain: 640x480 -> 1280x960 -> field -> SLM buffer.
+
+    Nearest replicates each (R, G, B, Z) element into a 2x2 block. Bilinear
+    then interpolates the color bytes under half-pixel-center alignment and
+    keeps depth nearest (interpolated depth codes fabricate surfaces).
+    """
     if (frame.width, frame.height) != (SOURCE_WIDTH, SOURCE_HEIGHT):
         raise DimensionError(
             f"replay prep expects {SOURCE_WIDTH}x{SOURCE_HEIGHT} input, "
@@ -151,30 +78,47 @@ def prepare_for_replay(
         )
     if mode not in ("nearest", "bilinear"):
         raise ValueError(f"unknown resample mode {mode!r}")
-    # single allocation; equivalent to pad_to_slm(embed_in_field(upscale_frame(...)))
-    # but writes the upscaled elements straight into the embed window, which
-    # keeps the chain inside a 30 fps frame budget
+    # one allocation: the upscaled elements go straight into the embed
+    # window, and everything else stays zero
     elements = np.zeros((SLM_HEIGHT, SLM_WIDTH, 4), dtype=np.uint8)
-    window = elements[
-        EMBED_Y : EMBED_Y + UPSCALED_HEIGHT, EMBED_X : EMBED_X + UPSCALED_WIDTH
-    ]
-    if mode == "nearest":
-        src = frame.color.data.copy()
-        src[:, :, 3] = frame.depth.codes
-        # 2x2 replication on whole elements: one uint32 per (R,G,B,Z);
-        # columns doubled once, then each doubled row written twice
-        src32 = src.reshape(SOURCE_HEIGHT, SOURCE_WIDTH * 4).view(np.uint32)
-        up = np.repeat(src32, 2, axis=1)
-        w32 = elements.reshape(SLM_HEIGHT, SLM_WIDTH * 4).view(np.uint32)[
-            EMBED_Y : EMBED_Y + UPSCALED_HEIGHT, EMBED_X : EMBED_X + UPSCALED_WIDTH
-        ]
-        w32[0::2] = up
-        w32[1::2] = up
-    else:
-        window[:, :, :3] = _bilinear_2x(frame.color.data[:, :, :3])
-        zblocks = window.reshape(SOURCE_HEIGHT, 2, SOURCE_WIDTH, 2, 4)[..., 3]
-        zblocks[...] = frame.depth.codes[:, None, :, None]
+    rows = slice(EMBED_Y, EMBED_Y + UPSCALED_HEIGHT)
+    cols = slice(EMBED_X, EMBED_X + UPSCALED_WIDTH)
+    src = frame.color.data.copy()
+    src[:, :, 3] = frame.depth.codes
+    # 2x2 replication on whole elements: one uint32 per (R,G,B,Z);
+    # columns doubled once, then each doubled row written twice
+    src32 = src.reshape(SOURCE_HEIGHT, SOURCE_WIDTH * 4).view(np.uint32)
+    up = np.repeat(src32, 2, axis=1)
+    w32 = elements.reshape(SLM_HEIGHT, SLM_WIDTH * 4).view(np.uint32)[rows, cols]
+    w32[0::2] = up
+    w32[1::2] = up
+    if mode == "bilinear":
+        elements[rows, cols, :3] = _bilinear_2x(frame.color.data[:, :, :3])
     return SlmBuffer(elements=elements, range=rng)
+
+
+def _bilinear_2x(src: np.ndarray) -> np.ndarray:
+    """2x bilinear with half-pixel centers, edge pixels duplicated.
+
+    Destination pixel d samples the source at (d + 0.5) / 2 - 0.5, so on
+    each axis it weighs its two nearest source pixels 3:1. Every output is
+    (9a + 3b + 3c + d) / 16 exactly, and rounding half up is
+    (9a + 3b + 3c + d + 8) >> 4, at most 4088, in uint16.
+    """
+    h, w, c = src.shape
+    p = np.pad(src.astype(np.uint16), ((1, 1), (1, 1), (0, 0)), mode="edge")
+    # output row 2k leans on source row k-1, row 2k+1 on row k+1
+    near = 3 * p[1:-1]
+    rows = np.empty((2 * h, w + 2, c), dtype=np.uint16)
+    np.add(near, p[:-2], out=rows[0::2])
+    np.add(near, p[2:], out=rows[1::2])
+    # the same on columns, with the rounding term folded in
+    near = 3 * rows[:, 1:-1] + 8
+    out = np.empty((2 * h, 2 * w, c), dtype=np.uint16)
+    np.add(near, rows[:, :-2], out=out[:, 0::2])
+    np.add(near, rows[:, 2:], out=out[:, 1::2])
+    out >>= 4
+    return out.astype(np.uint8)
 
 
 def sink_consume(
@@ -205,31 +149,15 @@ def sink_consume(
         raise ValidationError("embed-window violation: nonzero element outside window")
 
     # everything outside the embed window is zero (just validated), so the
-    # window alone determines the stats: count, checksum, and histograms
-    # are all computed on the window and the known zero surround added back
-    window = np.ascontiguousarray(el[y0:y1, x0:x1])
+    # window alone determines the count and the checksum
     nonzero = int(np.count_nonzero(pixels[y0:y1, x0:x1]))
-    checksum = zlib.adler32(window)
-    zeros_outside = SLM_HEIGHT * SLM_WIDTH - UPSCALED_HEIGHT * UPSCALED_WIDTH
-    # two uint16 bincounts (R|G<<8 and B|Z<<8 pairs) then marginalize: half
-    # the passes of four per-channel counts
-    flat16 = window.reshape(-1).view(np.dtype("<u2"))
-    rg = np.bincount(flat16[0::2], minlength=65536).reshape(256, 256)
-    bz = np.bincount(flat16[1::2], minlength=65536).reshape(256, 256)
-    histograms = {
-        "R": rg.sum(axis=0),
-        "G": rg.sum(axis=1),
-        "B": bz.sum(axis=0),
-        "Z": bz.sum(axis=1),
-    }
-    for hist in histograms.values():
-        hist[0] += zeros_outside
+    checksum = zlib.adler32(np.ascontiguousarray(el[y0:y1, x0:x1]))
     if dump_dir is not None:
         dump_dir = Path(dump_dir)
         dump_dir.mkdir(parents=True, exist_ok=True)
         _write_ppm(dump_dir / f"frame_{seq}.ppm", el[:, :, :3])
         _write_pgm(dump_dir / f"frame_{seq}.pgm", el[:, :, 3])
-    return SinkStats(nonzero_elements=nonzero, checksum_adler32=checksum, histograms=histograms)
+    return SinkStats(nonzero_elements=nonzero, checksum_adler32=checksum)
 
 
 def _write_ppm(path: Path, rgb: np.ndarray) -> None:

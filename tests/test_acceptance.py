@@ -106,8 +106,10 @@ def test_criterion_2_geometry_chain(capsys):
     raw = buf.tobytes()
     assert len(raw) == 16_777_216
     assert not buf.elements[1024:].any()
-    up = replay.upscale_frame(make_frame(640, 480))
-    assert (up.width, up.height) == (1280, 960)
+    # the upscaled 1280x960 frame is exactly the nonzero window of the field
+    rows, cols = np.nonzero(buf.elements[:1024].any(axis=2))
+    assert (rows.min(), rows.max() + 1) == (replay.EMBED_Y, replay.EMBED_Y + 960)
+    assert (cols.min(), cols.max() + 1) == (replay.EMBED_X, replay.EMBED_X + 1280)
     with capsys.disabled():
         print(
             "\nACCEPTANCE 2 (geometry chain 640x480 -> 1280x960 -> 2048x1024 -> "

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from threecpt.codec import (
     MAX_UNIT_BYTES,
+    STDERR_TAIL_BYTES,
     CodecId,
     EncodedAccessUnit,
     ExternalSession,
@@ -147,6 +148,21 @@ class TestExternalSession:
     def test_nonexistent_command_spawn_error(self):
         with pytest.raises(TranscoderError):
             ExternalSession(self.HDR, "/nonexistent/transcoder-binary")
+
+    @pytest.mark.parametrize("command", ["", "   ", "cat 'unclosed"])
+    def test_empty_or_unparsable_command_is_transcoder_error(self, command):
+        with pytest.raises(TranscoderError):
+            ExternalSession(self.HDR, command)
+
+    def test_chatty_stderr_does_not_stall_the_child(self):
+        # 200 kB on stderr is three pipe buffers: unread, it blocks the child
+        session = ExternalSession(
+            self.HDR, "sh -c 'head -c 200000 /dev/zero >&2; cat'", timeout=2
+        )
+        start = time.monotonic()
+        report = session.close()
+        assert time.monotonic() - start < 2
+        assert report.stderr == bytes(STDERR_TAIL_BYTES)
 
     def test_thirty_frames_in_order(self):
         session = ExternalSession(self.HDR, CAT)

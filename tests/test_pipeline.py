@@ -222,6 +222,27 @@ class TestCliMains:
         t.join(timeout=5)
         assert code == cli.EXIT_TRANSPORT
 
+    @pytest.mark.parametrize("role", ["send", "recv"])
+    @pytest.mark.parametrize("value", ["bogus", "external", "external:", "external: ", "h264:x"])
+    def test_bad_codec_is_usage_error(self, role, value, tmp_path, capsys):
+        # the signaling port is closed: reaching it would exit 3, not 2
+        args = ["--signal", f"127.0.0.1:{closed_port()}", "--channel", "9", "--codec", value]
+        if role == "send":
+            path, _ = write_stream(tmp_path, frames=1)
+            code = cli.send_main(["--input", str(path), *args])
+        else:
+            code = cli.recv_main(args)
+        assert code == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage: rgbz-{role}")
+        assert "argument --codec" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("value", ["ref", "external:cat", "external:sh -c 'cat'"])
+    def test_parse_codec(self, value):
+        command = cli.parse_codec(value)
+        assert command == (None if value == "ref" else value[len("external:") :])
+
     def test_recv_main_wire_version_mismatch_is_desync(self):
         header = bytearray(transport.PacketHeader(transport.PTYPE_STREAM_HEADER).pack())
         header[4] = 2  # wire version

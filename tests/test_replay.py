@@ -3,23 +3,29 @@ import pytest
 
 from threecpt.errors import DimensionError, ValidationError
 from threecpt.frames import ColorImage, DepthMap, DisparityRange, RgbzFrame
+from threecpt.container import gen_synthetic
 from threecpt.replay import (
     EMBED_X,
     EMBED_Y,
     FIELD_HEIGHT,
     FIELD_WIDTH,
     SLM_BUFFER_BYTES,
+    UPSCALED_HEIGHT,
+    UPSCALED_WIDTH,
     SlmBuffer,
-    embed_in_field,
-    pad_to_slm,
     prepare_for_replay,
     sink_consume,
-    upscale_frame,
 )
 
+from replay_oracle import reference_buffer
 from util import make_frame
 
 R02 = DisparityRange(0.0, 2.0)
+MODES = ("nearest", "bilinear")
+WINDOW = (
+    slice(EMBED_Y, EMBED_Y + UPSCALED_HEIGHT),
+    slice(EMBED_X, EMBED_X + UPSCALED_WIDTH),
+)
 
 
 def frame_from_rgbz(rgb, codes):
@@ -29,6 +35,41 @@ def frame_from_rgbz(rgb, codes):
     )
 
 
+def source_elements(frame):
+    """(480, 640, 4) source (R, G, B, Z) elements."""
+    return np.concatenate([frame.color.data[:, :, :3], frame.depth.codes[:, :, None]], axis=2)
+
+
+def halves(left, right):
+    """640x480 array whose left half is left and right half is right."""
+    return np.where(np.arange(640) < 320, left, right)[None, :].repeat(480, axis=0)
+
+
+def sphere_frames():
+    _, frames = gen_synthetic(640, 480, (30, 1), 12, "orbiting-sphere")
+    return frames[::4]
+
+
+def oracle_inputs():
+    yield from (pytest.param(make_frame(640, 480, seed=s), id=f"noise{s}") for s in range(3))
+    yield from (pytest.param(f, id=f"sphere{i}") for i, f in enumerate(sphere_frames()))
+    yield pytest.param(
+        frame_from_rgbz(np.full((480, 640, 3), 255), np.full((480, 640), 255)), id="all255"
+    )
+    checker = 255 * ((np.arange(480)[:, None] + np.arange(640)) % 2)
+    yield pytest.param(frame_from_rgbz(checker[:, :, None].repeat(3, 2), checker), id="checker")
+
+
+class TestOracle:
+    """prepare_for_replay against the three-stage float reference chain."""
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("frame", oracle_inputs())
+    def test_buffer_equals_reference(self, frame, mode):
+        buf = prepare_for_replay(frame, R02, mode)
+        assert np.array_equal(buf.elements, reference_buffer(frame, mode))
+
+
 class TestDimensionAlgebra:
     def test_constants(self):
         assert (EMBED_X, EMBED_Y) == (384, 32)
@@ -36,79 +77,96 @@ class TestDimensionAlgebra:
         assert SLM_BUFFER_BYTES == 16_777_216
 
     def test_chain_640x480(self):
-        up = upscale_frame(make_frame(640, 480))
-        assert (up.width, up.height) == (1280, 960)
+        for mode in MODES:
+            buf = prepare_for_replay(make_frame(640, 480), R02, mode)
+            rows, cols = np.nonzero(buf.elements.any(axis=2))
+            assert (rows.min(), rows.max() + 1) == (EMBED_Y, EMBED_Y + 960)
+            assert (cols.min(), cols.max() + 1) == (EMBED_X, EMBED_X + 1280)
 
 
 class TestUpscale:
     def test_nearest_replicates_2x2(self):
-        f = frame_from_rgbz([[[9, 8, 7]]], [[55]])
-        up = upscale_frame(f, "nearest")
-        assert (up.width, up.height) == (2, 2)
-        assert (up.color.data[:, :, :3] == [9, 8, 7]).all()
-        assert (up.depth.codes == 55).all()
+        f = make_frame(640, 480, seed=10)
+        window = prepare_for_replay(f, R02, "nearest").elements[WINDOW]
+        blocks = window.reshape(480, 2, 640, 2, 4)
+        assert np.array_equal(blocks, np.broadcast_to(source_elements(f)[:, None, :, None], blocks.shape))
 
     def test_bilinear_2x1_hand_case(self):
-        # row [A, B] -> [A, 0.75A+0.25B, 0.25A+0.75B, B] at half-pixel centers
+        # [A | B] halves -> [A, 0.75A+0.25B, 0.25A+0.75B, B] across the seam
+        # at half-pixel centers, on every row; the edges keep A and B
         a, b = 40, 120
-        f = frame_from_rgbz([[[a, a, a], [b, b, b]]], [[10, 200]])
-        up = upscale_frame(f, "bilinear")
+        rgb = halves(a, b)[:, :, None].repeat(3, axis=2)
+        buf = prepare_for_replay(frame_from_rgbz(rgb, halves(10, 200)), R02, "bilinear")
+        window = buf.elements[WINDOW]
         expected = [a, round(0.75 * a + 0.25 * b), round(0.25 * a + 0.75 * b), b]
-        assert list(up.color.data[0, :, 0]) == expected
-        assert list(up.color.data[1, :, 0]) == expected
+        for row in (0, 1, 500, 959):
+            assert list(window[row, 638:642, 0]) == expected
+            assert (window[row, :638, :3] == a).all()
+            assert (window[row, 642:, :3] == b).all()
 
     def test_bilinear_depth_stays_nearest(self):
-        f = frame_from_rgbz([[[0, 0, 0], [0, 0, 0]]], [[10, 200]])
-        up = upscale_frame(f, "bilinear")
-        assert list(up.depth.codes[0]) == [10, 10, 200, 200]  # no phantom codes
+        f = frame_from_rgbz(np.zeros((480, 640, 3)), halves(10, 200))
+        window = prepare_for_replay(f, R02, "bilinear").elements[WINDOW]
+        assert list(window[0, 636:644, 3]) == [10] * 4 + [200] * 4  # no phantom codes
+        g = make_frame(640, 480, seed=11)
+        window = prepare_for_replay(g, R02, "bilinear").elements[WINDOW]
+        assert np.array_equal(window[:, :, 3], np.repeat(np.repeat(g.depth.codes, 2, 0), 2, 1))
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError):
-            upscale_frame(make_frame(2, 2), "cubic")
+            prepare_for_replay(make_frame(640, 480), R02, "cubic")
 
 
 class TestEmbed:
     def test_placement_and_zero_surround(self):
-        f = make_frame(1280, 960, seed=1)
-        field = embed_in_field(f)
-        assert field.shape == (1024, 2048, 4)
-        assert (field[EMBED_Y, EMBED_X, :3] == f.color.data[0, 0, :3]).all()
-        assert field[EMBED_Y, EMBED_X, 3] == f.depth.codes[0, 0]
-        mask = np.ones((1024, 2048), dtype=bool)
-        mask[EMBED_Y : EMBED_Y + 960, EMBED_X : EMBED_X + 1280] = False
-        assert not field[mask].any()
+        f = make_frame(640, 480, seed=1)
+        mask = np.ones((2048, 2048), dtype=bool)
+        mask[WINDOW] = False
+        for mode in MODES:
+            # the window's corner elements are the source's corners in both
+            # modes: the bilinear edge clamp leaves a corner pixel unmixed
+            elements = prepare_for_replay(f, R02, mode).elements
+            assert (elements[EMBED_Y, EMBED_X] == source_elements(f)[0, 0]).all()
+            assert (elements[EMBED_Y + 959, EMBED_X + 1279] == source_elements(f)[-1, -1]).all()
+            assert not elements[mask].any()
 
     def test_checksum_equality(self):
-        f = make_frame(1280, 960, seed=2)
-        field = embed_in_field(f)
-        assert field[:, :, :3].sum() == f.color.data[:, :, :3].sum()
-        assert field[:, :, 3].sum() == f.depth.codes.sum()
+        f = make_frame(640, 480, seed=2)
+        window = prepare_for_replay(f, R02, "nearest").elements[WINDOW].astype(np.int64)
+        assert window[:, :, :3].sum() == 4 * f.color.data[:, :, :3].astype(np.int64).sum()
+        assert window[:, :, 3].sum() == 4 * f.depth.codes.astype(np.int64).sum()
 
     def test_wrong_dims_rejected(self):
         with pytest.raises(DimensionError):
-            embed_in_field(make_frame(640, 480))
+            prepare_for_replay(make_frame(1280, 960), R02)
 
 
 class TestPad:
     def test_byte_length(self):
-        f = make_frame(1280, 960)
-        buf = pad_to_slm(embed_in_field(f), R02)
-        assert len(buf.tobytes()) == 16_777_216
+        for mode in MODES:
+            buf = prepare_for_replay(make_frame(640, 480), R02, mode)
+            assert len(buf.tobytes()) == 16_777_216
 
     def test_row_1024_is_zero(self):
-        buf = pad_to_slm(embed_in_field(make_frame(1280, 960, seed=3)), R02)
-        assert not buf.elements[1024:].any()
+        f = frame_from_rgbz(np.full((480, 640, 3), 255), np.full((480, 640), 255))
+        for mode in MODES:
+            buf = prepare_for_replay(f, R02, mode)
+            assert not buf.elements[1024:].any()
+            assert (buf.elements[WINDOW] == 255).all()
 
     def test_composition_roundtrip(self):
-        f = make_frame(1280, 960, seed=4)
-        buf = pad_to_slm(embed_in_field(f), R02)
-        window = buf.elements[EMBED_Y : EMBED_Y + 960, EMBED_X : EMBED_X + 1280]
-        assert np.array_equal(window[:, :, :3], f.color.data[:, :, :3])
-        assert np.array_equal(window[:, :, 3], f.depth.codes)
+        # every source depth code, and in nearest mode every source element,
+        # sits at the top-left of its 2x2 block in the window
+        f = make_frame(640, 480, seed=4)
+        for mode in MODES:
+            window = prepare_for_replay(f, R02, mode).elements[WINDOW]
+            assert np.array_equal(window[::2, ::2, 3], f.depth.codes)
+            if mode == "nearest":
+                assert np.array_equal(window[::2, ::2], source_elements(f))
 
     def test_wrong_dims_rejected(self):
         with pytest.raises(DimensionError):
-            pad_to_slm(np.zeros((100, 100, 4), dtype=np.uint8), R02)
+            SlmBuffer(np.zeros((100, 100, 4), dtype=np.uint8), R02)
 
 
 class TestPrepareForReplay:
