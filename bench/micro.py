@@ -1,0 +1,109 @@
+"""Per-stage microbenchmark of the pipeline stages at 640x480.
+
+Times pack, ref_encode, ref_decode, unpack, prepare_for_replay (nearest and
+bilinear) and sink_consume on two frames: one orbiting-sphere frame with
+its background suppressed (the sphere-30fps content) and one frame of
+uniform noise (the noise-max content). Each figure is the median, with the
+quartiles, of --calls timed calls after --warmup untimed ones, in ms. The
+threecpt imported is the one in the src/ next to this script. Prints one
+JSON object that also records the core count and the Python and numpy
+versions.
+
+    python bench/micro.py [--calls 40] [--warmup 5]
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import sys
+import time
+from pathlib import Path
+
+import numpy as np
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from threecpt import codec, replay  # noqa: E402
+from threecpt.container import gen_synthetic  # noqa: E402
+from threecpt.frames import (  # noqa: E402
+    ColorImage,
+    DepthMap,
+    RgbzFrame,
+    StreamHeader,
+    suppress_background,
+)
+from threecpt.superframe import pack_superframe, unpack_superframe  # noqa: E402
+
+WIDTH, HEIGHT = 640, 480
+SUPPRESS_CUTOFF = 0.5  # diopters, as in the sphere-30fps workload
+
+
+def frames() -> tuple[StreamHeader, dict[str, RgbzFrame]]:
+    hdr, clip = gen_synthetic(WIDTH, HEIGHT, (30, 1), 8, "orbiting-sphere", seed=1)
+    sphere = suppress_background(clip[4], SUPPRESS_CUTOFF, hdr.range)
+    rng = np.random.default_rng(1)
+    color = np.zeros((HEIGHT, WIDTH, 4), dtype=np.uint8)
+    color[:, :, :3] = rng.integers(0, 256, size=(HEIGHT, WIDTH, 3), dtype=np.uint8)
+    codes = rng.integers(0, 256, size=(HEIGHT, WIDTH), dtype=np.uint8)
+    noise = RgbzFrame(color=ColorImage(color), depth=DepthMap.all_valid(codes))
+    return hdr, {"sphere": sphere, "noise": noise}
+
+
+def stages(hdr: StreamHeader, frame: RgbzFrame) -> dict:
+    """Each stage as a no-argument call on the output of the stage before."""
+    sf = pack_superframe(frame)
+    au = codec.ref_encode(sf)
+    buf = replay.prepare_for_replay(frame, hdr.range, "nearest")
+    return {
+        "pack": lambda: pack_superframe(frame),
+        "ref_encode": lambda: codec.ref_encode(sf),
+        "ref_decode": lambda: codec.ref_decode(au),
+        "unpack": lambda: unpack_superframe(sf, hdr),
+        "prepare_nearest": lambda: replay.prepare_for_replay(frame, hdr.range, "nearest"),
+        "prepare_bilinear": lambda: replay.prepare_for_replay(frame, hdr.range, "bilinear"),
+        "sink_consume": lambda: replay.sink_consume(buf),
+    }
+
+
+def time_call(fn, calls: int, warmup: int) -> dict:
+    for _ in range(warmup):
+        fn()
+    times = []
+    for _ in range(calls):
+        start = time.perf_counter()
+        fn()
+        times.append(1e3 * (time.perf_counter() - start))
+    q1, median, q3 = np.percentile(times, [25, 50, 75])
+    return {"median": round(median, 3), "q1": round(q1, 3), "q3": round(q3, 3)}
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--calls", type=int, default=40)
+    ap.add_argument("--warmup", type=int, default=5)
+    args = ap.parse_args(argv)
+    hdr, inputs = frames()
+    ms = {
+        name: {stage: time_call(fn, args.calls, args.warmup) for stage, fn in stages(hdr, f).items()}
+        for name, f in inputs.items()
+    }
+    report = {
+        "host": {
+            "cores": os.cpu_count(),
+            "machine": platform.machine(),
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+        },
+        "calls": args.calls,
+        "warmup": args.warmup,
+        "ms": ms,
+    }
+    print(json.dumps(report, indent=2))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

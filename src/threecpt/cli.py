@@ -142,6 +142,7 @@ def run_sender(cfg: SenderConfig) -> SenderReport:
                 else:
                     session.send_frame(sf)
                     work.put(session.units())
+                report.frames_sent += 1
             if session is not None:
                 session.close_input()
                 work.put(session.units(wait=True))
@@ -186,7 +187,6 @@ def run_sender(cfg: SenderConfig) -> SenderReport:
         conn.close()
     if encode_error:
         raise encode_error[0]
-    report.frames_sent = send.units_sent
     report.packets_sent = send.packets_sent
     report.bytes_sent = send.bytes_sent
     report.wall_time_s = time.monotonic() - clock["start"]

@@ -130,17 +130,18 @@ def ref_decode(au: EncodedAccessUnit) -> Superframe:
     magic, width, half_height = REF_HEADER.unpack_from(payload)
     if magic != REF_MAGIC:
         raise BitstreamError(f"bad reference-codec magic 0x{magic:02x}")
-    body = payload[REF_HEADER.size :]
+    expected = superframe_byte_size(width, half_height)
+    # check the run-length stream in place, as bytes, and its decoded
+    # length before expanding it, so the payload cannot make the decoder
+    # allocate more than the frame it declares
+    body = np.frombuffer(payload, dtype=np.uint8, offset=REF_HEADER.size)
     if len(body) % 2:
         raise BitstreamError("run-length stream has a dangling byte")
-    pairs = np.frombuffer(body, dtype=np.uint8).reshape(-1, 2)
-    counts = pairs[:, 0].astype(np.intp)
+    pairs = body.reshape(-1, 2)
+    counts = pairs[:, 0]
     if not counts.all():
         raise BitstreamError("zero-length run in run-length stream")
-    # check the decoded length before expanding, so the payload cannot make
-    # the decoder allocate more than the frame it declares
-    decoded = int(counts.sum())
-    expected = superframe_byte_size(width, half_height)
+    decoded = int(counts.sum(dtype=np.int64))
     if decoded != expected:
         raise BitstreamError(
             f"declared {width}x{2 * half_height} needs {expected} bytes, "

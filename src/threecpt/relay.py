@@ -10,6 +10,8 @@ The splice buffers no frames: each direction is one blocking recv/sendall
 loop, so TCP backpressure from a slow receiver reaches the sender directly.
 A channel is released when both directions have ended: the relay closes
 both sockets and forgets the channel, so its id can be registered again.
+A parked (not yet paired) attach whose client has gone is closed and its
+role freed when a register or attach next asks for that role.
 
 Wire surfaces:
 
@@ -55,6 +57,17 @@ def _quiet_close(sock: socket.socket):
         pass
 
 
+def _client_gone(sock: socket.socket) -> bool:
+    """Whether the client of a parked (blocking) socket has closed or reset
+    it: a non-blocking peek that finds EOF or fails."""
+    try:
+        return sock.recv(1, socket.MSG_PEEK | socket.MSG_DONTWAIT) == b""
+    except BlockingIOError:
+        return False
+    except OSError:
+        return True
+
+
 def _pump(src: socket.socket, dst: socket.socket):
     """Copy src to dst until src ends or either side fails, then pass the
     end on to dst's peer."""
@@ -88,6 +101,15 @@ class _Channel:
     key: bytes
     created_at: float
     attached: dict = field(default_factory=dict)  # role -> socket
+
+    def holds(self, role: str) -> bool:
+        """Whether role is attached. A role parked on an unpaired channel
+        whose client has gone is closed and freed first."""
+        sock = self.attached.get(role)
+        if sock is not None and len(self.attached) < 2 and _client_gone(sock):
+            _quiet_close(sock)
+            del self.attached[role]
+        return role in self.attached
 
 
 class RelayServer:
@@ -198,7 +220,7 @@ class RelayServer:
                     return f"ERR capacity at max {self.max_channels} channels\n"
                 chan = _Channel(key=secrets.token_bytes(16), created_at=time.monotonic())
                 self._channels[channel_id] = chan
-            if role in chan.attached:
+            if chan.holds(role):
                 return f"ERR conflict {role} already attached on channel {channel_id}\n"
             return f"OK {self.relay_port} {chan.key.hex()}\n"
 
@@ -223,6 +245,9 @@ class RelayServer:
             _quiet_close(conn)
             return
         role = {ROLE_SENDER: "sender", ROLE_RECEIVER: "receiver"}.get(role_byte)
+        # parked sockets are blocking: with a timeout set, the non-blocking
+        # peek in holds() would first wait up to that timeout for data
+        conn.settimeout(None)
         with self._lock:
             chan = self._channels.get(channel_id)
             ok = (
@@ -230,7 +255,7 @@ class RelayServer:
                 and role is not None
                 and chan is not None
                 and secrets.compare_digest(key, chan.key)
-                and role not in chan.attached
+                and not chan.holds(role)
             )
             if ok:
                 chan.attached[role] = conn
@@ -242,7 +267,6 @@ class RelayServer:
                 pass
             _quiet_close(conn)
             return
-        conn.settimeout(None)
         try:
             conn.sendall(ACCEPTED)
         except OSError:

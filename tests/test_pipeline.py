@@ -106,6 +106,20 @@ class TestEndToEnd:
             frame_checksum(f) for f in frames
         ]
 
+    def test_external_codec_reports_frames_not_units(self, server, tmp_path):
+        # cat hands the stream back in reads that need not match frames, so
+        # the sender sends fewer access units than frames
+        path, _ = write_stream(tmp_path, frames=20)
+        codec_arg = f"external:{CAT}"
+        send, recv, _, _ = run_pipeline(
+            server,
+            path,
+            channel=6,
+            sender_kw={"fps": 0, "codec": codec_arg},
+            receiver_kw={"codec": codec_arg},
+        )
+        assert send.frames_sent == recv.frames_received == 20
+
     def test_external_units_to_ref_receiver_is_adapter_error(self, server, tmp_path):
         path, _ = write_stream(tmp_path, frames=3)
         addr = (server.host, server.signal_port)

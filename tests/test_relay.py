@@ -270,6 +270,33 @@ class TestChannelRelease:
         assert wait_until(lambda: not new_threads(before))
 
 
+class TestParkedAttach:
+    def test_role_of_a_gone_parked_client_is_freed(self, server):
+        before = set(threading.enumerate())
+        grant = register_channel(signal_addr(server), "sender", 7)
+        attach(grant, "sender").close()
+        time.sleep(0.5)
+        start = time.monotonic()
+        again = register_channel(signal_addr(server), "sender", 7)
+        assert time.monotonic() - start < 1.0
+        assert again.key == grant.key
+        attach(again, "sender").close()
+        assert wait_until(lambda: not new_threads(before))
+
+    def test_live_parked_client_keeps_its_role(self, server):
+        before = set(threading.enumerate())
+        grant = register_channel(signal_addr(server), "sender", 8)
+        conn = attach(grant, "sender")
+        conn.sendall(b"early bytes")  # unread data must not count as gone
+        time.sleep(0.5)
+        with pytest.raises(SignalingError, match="conflict"):
+            register_channel(signal_addr(server), "sender", 8)
+        with pytest.raises(RelayAuthError):
+            attach(grant, "sender")
+        conn.close()
+        assert wait_until(lambda: not new_threads(before))
+
+
 class TestTtl:
     def test_unpaired_channel_expires(self):
         with RelayServer(ttl_seconds=0.3) as srv:

@@ -58,6 +58,15 @@ def oracle_inputs():
     )
     checker = 255 * ((np.arange(480)[:, None] + np.arange(640)) % 2)
     yield pytest.param(frame_from_rgbz(checker[:, :, None].repeat(3, 2), checker), id="checker")
+    # lane isolation: a carry across lanes, lanes left wide or a swapped
+    # lane order each change some channel next to a full-scale neighbour
+    opposed = np.stack([checker, 255 - checker, checker], axis=2)
+    yield pytest.param(frame_from_rgbz(opposed, 255 - checker), id="opposed-checker")
+    stripes = np.broadcast_to(255 * (np.arange(640) % 2), (480, 640))
+    for c, name in enumerate("RGB"):
+        rgb = np.zeros((480, 640, 3))
+        rgb[:, :, c] = stripes
+        yield pytest.param(frame_from_rgbz(rgb, stripes), id=f"stripes-{name}")
 
 
 class TestOracle:
