@@ -6,8 +6,8 @@ its background suppressed (the sphere-30fps content) and one frame of
 uniform noise (the noise-max content). Each figure is the median, with the
 quartiles, of --calls timed calls after --warmup untimed ones, in ms. The
 threecpt imported is the one in the src/ next to this script. Prints one
-JSON object that also records the core count and the Python and numpy
-versions.
+JSON object that also records each frame's REF unit size in bytes beside
+its superframe size, the core count and the Python and numpy versions.
 
     python bench/micro.py [--calls 40] [--warmup 5]
 """
@@ -35,7 +35,11 @@ from threecpt.frames import (  # noqa: E402
     StreamHeader,
     suppress_background,
 )
-from threecpt.superframe import pack_superframe, unpack_superframe  # noqa: E402
+from threecpt.superframe import (  # noqa: E402
+    pack_superframe,
+    superframe_byte_size,
+    unpack_superframe,
+)
 
 WIDTH, HEIGHT = 640, 480
 SUPPRESS_CUTOFF = 0.5  # diopters, as in the sphere-30fps workload
@@ -60,7 +64,7 @@ def stages(hdr: StreamHeader, frame: RgbzFrame) -> dict:
     return {
         "pack": lambda: pack_superframe(frame),
         "ref_encode": lambda: codec.ref_encode(sf),
-        "ref_decode": lambda: codec.ref_decode(au),
+        "ref_decode": lambda: codec.ref_decode(au, hdr),
         "unpack": lambda: unpack_superframe(sf, hdr),
         "prepare_nearest": lambda: replay.prepare_for_replay(frame, hdr.range, "nearest"),
         "prepare_bilinear": lambda: replay.prepare_for_replay(frame, hdr.range, "bilinear"),
@@ -100,6 +104,10 @@ def main(argv=None) -> int:
         "calls": args.calls,
         "warmup": args.warmup,
         "ms": ms,
+        "unit_bytes": {
+            name: len(codec.ref_encode(pack_superframe(f)).payload) for name, f in inputs.items()
+        },
+        "superframe_bytes": superframe_byte_size(WIDTH, HEIGHT),
     }
     print(json.dumps(report, indent=2))
     return 0

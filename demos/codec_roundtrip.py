@@ -30,7 +30,7 @@ def main():
     print(f"\nencoded access unit: {len(au.payload)} bytes "
           f"({ratio:.1f}x smaller), keyframe={au.keyframe}")
 
-    back = codec.ref_decode(au)
+    back = codec.ref_decode(au, hdr)
     assert np.array_equal(back.data, sf.data)
     print("decode is bit-exact: OK")
 

@@ -247,7 +247,7 @@ def run_receiver(cfg: ReceiverConfig) -> tuple[ReceiverReport, LatencyReport]:
         try:
             for packet_header, au, recv_us in iter(work.get, None):
                 if au.codec_id is codec.CodecId.REF_LOSSLESS:
-                    sfs = [codec.ref_decode(au)]
+                    sfs = [codec.ref_decode(au, hdr)]
                 else:
                     if external is None:
                         if command is None:

@@ -12,16 +12,19 @@ Two paths:
 
 REF_LOSSLESS payload layout (big-endian):
 
-    byte 0        magic 0x52
+    byte 0        tag: 0x52 run-length body, 0x53 stored body
     bytes 1..2    u16 width
     bytes 3..4    u16 half-height (content height; superframe is twice this)
-    bytes 5..     run-length stream: (count u8 in 1..255, value u8) pairs
+    bytes 5..     0x52: run-length stream, (count u8 in 1..255, value u8) pairs
+                  0x53: the superframe bytes verbatim, width*2*half-height*4
 
 The run-length stream covers the per-row left-predictor residuals of the
 superframe bytes: each channel byte is differenced modulo 256 against the
 same channel of the pixel to its left (the leftmost pixel of each row is
 kept verbatim), rows concatenated top to bottom in the interchange byte
-order. See docs/refcodec.md for a worked example.
+order. The encoder stores a frame whose run-length stream would be longer
+than the superframe (ties stay run-length), so no unit body exceeds the raw
+frame. See docs/refcodec.md for worked examples.
 """
 
 from __future__ import annotations
@@ -40,7 +43,8 @@ from .errors import AdapterError, BitstreamError, TranscoderError
 from .frames import StreamHeader
 from .superframe import Superframe, superframe_byte_size
 
-REF_MAGIC = 0x52
+REF_MAGIC = 0x52  # run-length body
+REF_STORED = 0x53  # the superframe bytes verbatim
 REF_HEADER = struct.Struct(">BHH")
 
 FLAG_KEYFRAME = 0x01
@@ -83,8 +87,9 @@ def _row_residuals(data: np.ndarray) -> np.ndarray:
     return resid.reshape(-1)
 
 
-def _rle_encode(stream: np.ndarray) -> bytes:
-    change = np.flatnonzero(stream[1:] != stream[:-1])
+def _rle_encode(stream: np.ndarray, change: np.ndarray) -> bytes:
+    """Run-length pairs of stream; change is stream[1:] != stream[:-1]."""
+    change = np.flatnonzero(change)
     starts = np.empty(len(change) + 1, dtype=np.intp)
     starts[0] = 0
     np.add(change, 1, out=starts[1:])
@@ -110,31 +115,59 @@ def _rle_encode(stream: np.ndarray) -> bytes:
 
 
 def ref_encode(sf: Superframe) -> EncodedAccessUnit:
-    """Encode a superframe with the deterministic lossless reference codec."""
-    header = REF_HEADER.pack(REF_MAGIC, sf.width, sf.height // 2)
-    resid = _row_residuals(np.ascontiguousarray(sf.data))
+    """Encode a superframe with the deterministic lossless reference codec:
+    run-length residuals, or the bytes verbatim when the runs would be
+    longer than the superframe."""
+    data = np.ascontiguousarray(sf.data)
+    resid = _row_residuals(data)
+    change = resid[1:] != resid[:-1]
+    # every change starts a pair, so changes + 1 pairs is a lower bound:
+    # when even that does not fit, skip building the runs
+    body = None
+    if 2 * (np.count_nonzero(change) + 1) <= data.nbytes:
+        body = _rle_encode(resid, change)
+    if body is None or len(body) > data.nbytes:
+        tag, body = REF_STORED, data.tobytes()
+    else:
+        tag = REF_MAGIC
     return EncodedAccessUnit(
         codec_id=CodecId.REF_LOSSLESS,
         flags=FLAG_KEYFRAME,
-        payload=header + _rle_encode(resid),
+        payload=REF_HEADER.pack(tag, sf.width, sf.height // 2) + body,
     )
 
 
-def ref_decode(au: EncodedAccessUnit) -> Superframe:
-    """Exact inverse of ref_encode."""
+def ref_decode(au: EncodedAccessUnit, hdr: StreamHeader) -> Superframe:
+    """Exact inverse of ref_encode, for a unit of the stream hdr declares.
+
+    The unit's frame size is checked against hdr, and its body against that
+    size, before anything is allocated, so no payload can make the decoder
+    allocate more than the stream's own superframe.
+    """
     if au.codec_id is not CodecId.REF_LOSSLESS:
         raise AdapterError(f"expected REF_LOSSLESS unit, got {au.codec_id.name}")
     payload = au.payload
     if len(payload) < REF_HEADER.size:
         raise BitstreamError(f"payload too short for header: {len(payload)} bytes")
-    magic, width, half_height = REF_HEADER.unpack_from(payload)
-    if magic != REF_MAGIC:
-        raise BitstreamError(f"bad reference-codec magic 0x{magic:02x}")
+    tag, width, half_height = REF_HEADER.unpack_from(payload)
+    if tag not in (REF_MAGIC, REF_STORED):
+        raise BitstreamError(f"bad reference-codec tag 0x{tag:02x}")
+    if (width, half_height) != (hdr.width, hdr.height):
+        raise BitstreamError(
+            f"unit declares {width}x{2 * half_height}, stream is "
+            f"{hdr.width}x{2 * hdr.height}"
+        )
     expected = superframe_byte_size(width, half_height)
-    # check the run-length stream in place, as bytes, and its decoded
-    # length before expanding it, so the payload cannot make the decoder
-    # allocate more than the frame it declares
     body = np.frombuffer(payload, dtype=np.uint8, offset=REF_HEADER.size)
+    if tag == REF_STORED:
+        if len(body) != expected:
+            raise BitstreamError(
+                f"declared {width}x{2 * half_height} needs {expected} bytes, "
+                f"stored body has {len(body)}"
+            )
+        return Superframe(body.reshape(2 * half_height, width, 4).copy())
+    # check the run-length stream in place, as bytes, and its decoded
+    # length before expanding it
     if len(body) % 2:
         raise BitstreamError("run-length stream has a dangling byte")
     pairs = body.reshape(-1, 2)

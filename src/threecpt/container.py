@@ -88,9 +88,12 @@ def read_container(path: str | Path) -> tuple[StreamHeader, list[RgbzFrame]]:
         raise ContainerError(f"bad magic {magic!r} at offset 0")
     if version != VERSION:
         raise ContainerError(f"unsupported container version {version} at offset 4")
-    hdr = StreamHeader(
-        width=w, height=h, fps_num=num, fps_den=den, range=DisparityRange(dmin, dmax)
-    )
+    try:
+        hdr = StreamHeader(
+            width=w, height=h, fps_num=num, fps_den=den, range=DisparityRange(dmin, dmax)
+        )
+    except ValueError as exc:  # fps or disparity range out of bounds
+        raise ContainerError(f"bad header at offset 9: {exc}") from exc
     frame_bytes = 8 + w * h * 4 + w * h
     expected = _HEADER.size + count * frame_bytes
     if len(raw) != expected:
@@ -110,7 +113,10 @@ def read_container(path: str | Path) -> tuple[StreamHeader, list[RgbzFrame]]:
             )
         last_ts = ts
         offset += 8
-        color = ColorImage.from_bytes(raw[offset : offset + w * h * 4], w, h)
+        try:
+            color = ColorImage.from_bytes(raw[offset : offset + w * h * 4], w, h)
+        except ValueError as exc:  # a nonzero RGB0 pad byte
+            raise ContainerError(f"{exc} in the frame at offset {offset}") from exc
         offset += w * h * 4
         codes = np.frombuffer(raw[offset : offset + w * h], dtype=np.uint8)
         offset += w * h

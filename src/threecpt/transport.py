@@ -23,7 +23,7 @@ from .errors import (
 from .frames import DisparityRange, PixelFormat, StreamHeader
 
 MAGIC = b"3CPT"
-VERSION = 1
+VERSION = 2
 
 PTYPE_STREAM_HEADER = 0
 PTYPE_ACCESS_UNIT = 1

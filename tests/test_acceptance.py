@@ -24,7 +24,7 @@ R02 = DisparityRange(0.0, 2.0)
 def codec_warm(sf, hdr):
     from threecpt.superframe import unpack_superframe
 
-    return unpack_superframe(codec.ref_decode(codec.ref_encode(sf)), hdr)
+    return unpack_superframe(codec.ref_decode(codec.ref_encode(sf), hdr), hdr)
 
 
 @pytest.fixture(scope="module")

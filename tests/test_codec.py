@@ -17,6 +17,7 @@ from threecpt.codec import (
     ref_decode,
     ref_encode,
 )
+from threecpt.container import gen_synthetic
 from threecpt.errors import AdapterError, BitstreamError, TranscoderError
 from threecpt.frames import StreamHeader
 from threecpt.superframe import Superframe, pack_superframe, superframe_byte_size
@@ -30,10 +31,26 @@ def random_superframe(w, h, seed=0):
     return pack_superframe(make_frame(w, h, seed=seed))
 
 
+def hdr_of(sf):
+    """The stream header a superframe belongs to."""
+    return StreamHeader(width=sf.width, height=sf.height // 2)
+
+
+def constant_superframe(w, h, value=0):
+    return Superframe(np.full((2 * h, w, 4), value, dtype=np.uint8))
+
+
+def both_branches(w, h, seed=0):
+    """A stored (noise) and a run-length (constant) superframe of one size."""
+    return random_superframe(w, h, seed=seed), constant_superframe(w, h, value=3)
+
+
 class TestRefCodec:
     def test_roundtrip(self):
-        sf = random_superframe(16, 10, seed=1)
-        assert ref_decode(ref_encode(sf)) == sf
+        for sf, tag in zip(both_branches(16, 10, seed=1), (0x53, 0x52)):
+            au = ref_encode(sf)
+            assert au.payload[0] == tag
+            assert ref_decode(au, hdr_of(sf)) == sf
 
     def test_deterministic(self):
         sf = random_superframe(12, 8, seed=2)
@@ -45,73 +62,139 @@ class TestRefCodec:
     def test_hand_encoded_payload(self):
         # 1x2 superframe bytes [5,5,5,0, 9,9,9,0]: width 1, so every pixel
         # is a row start and the residuals are the bytes verbatim;
-        # run-length pairs (3,5)(1,0)(3,9)(1,0) after the 5-byte header
+        # run-length pairs (3,5)(1,0)(3,9)(1,0) after the 5-byte header.
+        # The 8-byte body ties the 8 raw bytes, so it stays run-length
         data = np.array([[[5, 5, 5, 0]], [[9, 9, 9, 0]]], dtype=np.uint8)
         au = ref_encode(Superframe(data))
         expected = bytes([0x52, 0, 1, 0, 1]) + bytes([3, 5, 1, 0, 3, 9, 1, 0])
         assert au.payload == expected
 
     def test_hand_encoded_left_prediction_within_row(self):
-        # one row, two pixels [10,20,30,0][12,21,28,0]:
-        # residuals [10,20,30,0, 2,1,254,0] per-channel against the left
-        # pixel; color rows and depth rows encode the same way
+        # superframe 4x2, one row of color, one of depth:
+        # row 0 [10,20,30,0][12,21,28,0][12,21,28,0][12,21,28,0] has
+        # residuals [10,20,30,0, 2,1,254,0, 0,0,0,0, 0,0,0,0] per channel
+        # against the left pixel; row 1 [7,7,7,0][7,7,7,0][9,9,9,0][9,9,9,0]
+        # has [7,7,7,0, 0,0,0,0, 2,2,2,0, 0,0,0,0]
+        data = np.array(
+            [
+                [[10, 20, 30, 0], [12, 21, 28, 0], [12, 21, 28, 0], [12, 21, 28, 0]],
+                [[7, 7, 7, 0], [7, 7, 7, 0], [9, 9, 9, 0], [9, 9, 9, 0]],
+            ],
+            dtype=np.uint8,
+        )
+        au = ref_encode(Superframe(data))
+        # runs (1,10)(1,20)(1,30)(1,0)(1,2)(1,1)(1,254)(9,0) (3,7)(5,0)(3,2)(5,0):
+        # a 24-byte body against 32 raw bytes
+        body = bytes(
+            [1, 10, 1, 20, 1, 30, 1, 0, 1, 2, 1, 1, 1, 254, 9, 0, 3, 7, 5, 0, 3, 2, 5, 0]
+        )
+        assert au.payload == bytes([0x52, 0, 4, 0, 1]) + body
+
+    def test_hand_encoded_stored(self):
+        # superframe 2x2 [10,20,30,0][12,21,28,0] / [7,7,7,0][7,7,7,0]: its
+        # runs (1,10)(1,20)(1,30)(1,0)(1,2)(1,1)(1,254)(1,0)(3,7)(5,0) take
+        # 20 bytes against 16 raw, so the unit stores the bytes verbatim
         data = np.array(
             [[[10, 20, 30, 0], [12, 21, 28, 0]], [[7, 7, 7, 0], [7, 7, 7, 0]]],
             dtype=np.uint8,
         )
         au = ref_encode(Superframe(data))
-        # residual stream 10,20,30,0,2,1,254,0,7,7,7,0,0,0,0,0 -> runs
-        # (1,10)(1,20)(1,30)(1,0)(1,2)(1,1)(1,254)(1,0)(3,7)(5,0)
-        body = bytes(
-            [1, 10, 1, 20, 1, 30, 1, 0, 1, 2, 1, 1, 1, 254, 1, 0, 3, 7, 5, 0]
-        )
-        assert au.payload == bytes([0x52, 0, 2, 0, 1]) + body
+        assert au.payload == bytes([0x53, 0, 2, 0, 1]) + data.tobytes()
+
+    def test_compressible_full_frame_is_run_length(self):
+        hdr, frames = gen_synthetic(640, 480, (30, 1), 1)
+        sf = pack_superframe(frames[0])
+        au = ref_encode(sf)
+        assert au.payload[0] == 0x52
+        assert ref_decode(au, hdr) == sf
+
+    def test_noise_full_frame_is_stored_at_raw_size(self):
+        sf = random_superframe(640, 480, seed=7)
+        au = ref_encode(sf)
+        assert au.payload[0] == 0x53
+        assert len(au.payload) == 5 + superframe_byte_size(640, 480)
+        assert ref_decode(au, hdr_of(sf)) == sf
 
     def test_constant_frame_compresses_below_one_percent(self):
-        sf = Superframe(np.full((960, 640, 4), 0, dtype=np.uint8))
+        sf = constant_superframe(640, 480)
         au = ref_encode(sf)
         assert len(au.payload) < 0.01 * 2_457_600
 
     def test_truncated_payload_rejected(self):
-        au = ref_encode(random_superframe(4, 4, seed=3))
-        broken = EncodedAccessUnit(CodecId.REF_LOSSLESS, au.flags, au.payload[:-1])
-        with pytest.raises(BitstreamError):
-            ref_decode(broken)
+        for sf in both_branches(4, 4, seed=3):
+            au = ref_encode(sf)
+            broken = EncodedAccessUnit(CodecId.REF_LOSSLESS, au.flags, au.payload[:-1])
+            with pytest.raises(BitstreamError):
+                ref_decode(broken, hdr_of(sf))
 
     def test_dimension_byte_count_mismatch_rejected(self):
-        au = ref_encode(random_superframe(4, 4, seed=4))
-        # declare a larger frame than the run-length stream decodes to
-        tampered = bytes([0x52, 0, 8, 0, 8]) + au.payload[5:]
-        with pytest.raises(BitstreamError):
-            ref_decode(EncodedAccessUnit(CodecId.REF_LOSSLESS, au.flags, tampered))
+        for sf in both_branches(4, 4, seed=4):
+            au = ref_encode(sf)
+            # declare a larger frame than the body holds, in a stream of that size
+            tampered = au.payload[:1] + bytes([0, 8, 0, 8]) + au.payload[5:]
+            with pytest.raises(BitstreamError, match="needs 512 bytes"):
+                ref_decode(
+                    EncodedAccessUnit(CodecId.REF_LOSSLESS, au.flags, tampered),
+                    StreamHeader(width=8, height=8),
+                )
+
+    def test_unit_for_another_frame_size_rejected(self):
+        for sf in both_branches(4, 4, seed=4):
+            with pytest.raises(BitstreamError, match="stream is 8x12"):
+                ref_decode(ref_encode(sf), StreamHeader(width=8, height=6))
 
     def test_overlong_stream_rejected_before_expanding(self):
-        # 1 MiB of (255, 0) runs would expand to ~134 MB; the header declares 2x2
-        payload = bytes([0x52, 0, 2, 0, 1]) + bytes([255, 0]) * (512 * 1024)
+        # 1 MiB of (255, 0) runs would expand to ~134 MB; the header declares 2x4
+        payload = bytes([0x52, 0, 2, 0, 2]) + bytes([255, 0]) * (512 * 1024)
         au = EncodedAccessUnit(CodecId.REF_LOSSLESS, 1, payload)
         tracemalloc.start()
         try:
             with pytest.raises(BitstreamError):
-                ref_decode(au)
+                ref_decode(au, StreamHeader(width=2, height=2))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < 16 * 1024 * 1024
 
+    def test_large_unit_for_a_small_stream_rejected_before_expanding(self):
+        # 32,903 bytes of (255, 0) runs that decode exactly to the 1024x1024
+        # superframe they declare: 4 MiB, 127x the payload
+        payload = bytes([0x52, 4, 0, 2, 0]) + bytes([255, 0]) * 16448 + bytes([64, 0])
+        au = EncodedAccessUnit(CodecId.REF_LOSSLESS, 1, payload)
+        tracemalloc.start()
+        try:
+            with pytest.raises(BitstreamError):
+                ref_decode(au, StreamHeader(width=640, height=480))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < len(payload)
+
     def test_zero_run_rejected(self):
-        payload = bytes([0x52, 0, 1, 0, 1]) + bytes([0, 7])
-        with pytest.raises(BitstreamError):
-            ref_decode(EncodedAccessUnit(CodecId.REF_LOSSLESS, 1, payload))
+        payload = bytes([0x52, 0, 2, 0, 2]) + bytes([0, 7])
+        with pytest.raises(BitstreamError, match="zero-length"):
+            ref_decode(
+                EncodedAccessUnit(CodecId.REF_LOSSLESS, 1, payload),
+                StreamHeader(width=2, height=2),
+            )
+
+    def test_unknown_tag_rejected(self):
+        sf = constant_superframe(2, 2)
+        payload = bytes([0x54]) + ref_encode(sf).payload[1:]
+        with pytest.raises(BitstreamError, match="0x54"):
+            ref_decode(EncodedAccessUnit(CodecId.REF_LOSSLESS, 1, payload), hdr_of(sf))
 
     def test_codec_id_mismatch_rejected(self):
-        au = ref_encode(random_superframe(2, 2))
-        wrong = EncodedAccessUnit(CodecId.EXTERNAL, 0, au.payload)
+        sf = random_superframe(2, 2)
+        wrong = EncodedAccessUnit(CodecId.EXTERNAL, 0, ref_encode(sf).payload)
         with pytest.raises(AdapterError):
-            ref_decode(wrong)
+            ref_decode(wrong, hdr_of(sf))
 
     def test_long_run_split(self):
-        sf = Superframe(np.full((2, 512, 4), 7, dtype=np.uint8))
-        assert ref_decode(ref_encode(sf)) == sf
+        sf = Superframe(np.full((4, 512, 4), 7, dtype=np.uint8))
+        au = ref_encode(sf)
+        assert au.payload[0] == 0x52
+        assert ref_decode(au, hdr_of(sf)) == sf
 
     @given(
         st.integers(1, 6).map(lambda n: 2 * n),
@@ -121,7 +204,7 @@ class TestRefCodec:
     @settings(max_examples=200)
     def test_roundtrip_property(self, w, h, seed):
         sf = random_superframe(w, h, seed=seed)
-        assert ref_decode(ref_encode(sf)) == sf
+        assert ref_decode(ref_encode(sf), hdr_of(sf)) == sf
 
 
 class TestAccessUnit:

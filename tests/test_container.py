@@ -119,6 +119,27 @@ class TestMalformed:
         with pytest.raises(ContainerError):
             read_container(path)
 
+    @pytest.mark.parametrize(
+        "offset, value",
+        [(9, bytes(2)), (13, bytes.fromhex("7ff8000000000000")), (21, bytes(8))],
+        ids=["fps-zero", "min-nan", "max-not-above-min"],
+    )
+    def test_bad_fps_or_range_is_container_error(self, tmp_path, offset, value):
+        path = self.write_sample(tmp_path)
+        raw = bytearray(path.read_bytes())
+        raw[offset : offset + len(value)] = value
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ContainerError, match="offset 9"):
+            read_container(path)
+
+    def test_nonzero_pad_byte_is_container_error(self, tmp_path):
+        path = self.write_sample(tmp_path)
+        raw = bytearray(path.read_bytes())
+        raw[HEADER_BYTES + 8 + 3] = 1  # pad byte of frame 0's first pixel
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ContainerError, match=f"offset {HEADER_BYTES + 8}"):
+            read_container(path)
+
     def test_non_increasing_timestamp_rejected_on_write(self, tmp_path):
         hdr, frames = small_stream(frames=2)
         frames = [frames[0], frames[1].__class__(

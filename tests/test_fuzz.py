@@ -1,16 +1,33 @@
-"""Arbitrary peer bytes into the decoders that parse them.
+"""Arbitrary peer and file bytes into the decoders that parse them.
 
 Whatever arrives, only a ThreecptError may escape; the reference decoder
-also may not allocate more than the frame its header declares allows.
+also may not allocate more than the frame its stream header declares
+allows, and the container reader nothing a header's frame count asks for.
 """
 
+import itertools
+import struct
+import tempfile
 import tracemalloc
+from pathlib import Path
 
-from hypothesis import example, given, settings
+import numpy as np
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
-from threecpt.codec import REF_HEADER, REF_MAGIC, CodecId, EncodedAccessUnit, ref_decode
+from threecpt import container
+from threecpt.codec import (
+    REF_HEADER,
+    REF_MAGIC,
+    REF_STORED,
+    CodecId,
+    EncodedAccessUnit,
+    ref_decode,
+    ref_encode,
+)
 from threecpt.errors import ThreecptError
+from threecpt.frames import StreamHeader
+from threecpt.superframe import Superframe
 from threecpt.transport import (
     HEADER,
     MAGIC,
@@ -28,6 +45,11 @@ bodies = st.builds(
     lambda chunk, k: chunk * (1 << k), st.binary(max_size=64), st.integers(0, 15)
 )
 dims = st.one_of(st.integers(0, 64), st.integers(0, 2**16 - 1))
+# dimensions a stream header can declare: positive, even, at most u16
+stream_dims = st.one_of(st.integers(1, 32), st.integers(1, 2**15 - 1)).map(lambda n: 2 * n)
+tags = st.sampled_from([REF_MAGIC, REF_STORED])
+
+SMALL = StreamHeader(width=2, height=2)
 
 
 def decode_or_typed_error(fn, *args):
@@ -41,25 +63,177 @@ def ref_unit(payload):
     return EncodedAccessUnit(CodecId.REF_LOSSLESS, 1, payload)
 
 
+@st.composite
+def ref_units(draw):
+    """A stream header and a REF payload for it: either tag, the header's
+    dimensions or any others, and a body of any length or, for frames up
+    to 2 MiB, of exactly the size the unit declares."""
+    hdr = StreamHeader(width=draw(stream_dims), height=draw(stream_dims))
+    width, half_height = draw(st.one_of(st.just((hdr.width, hdr.height)), st.tuples(dims, dims)))
+    size = width * 2 * half_height * 4
+    if 0 < size <= 2 * MIB and draw(st.booleans()):
+        chunk = draw(st.binary(min_size=1, max_size=64))
+        body = (chunk * (size // len(chunk) + 1))[:size]
+    else:
+        body = draw(bodies)
+    return hdr, REF_HEADER.pack(draw(tags), width, half_height) + body
+
+
 class TestRefDecode:
-    @given(st.binary(min_size=1, max_size=256))
+    @given(
+        st.one_of(
+            st.binary(min_size=1, max_size=256),
+            st.tuples(tags, st.binary(max_size=64)).map(
+                lambda t: REF_HEADER.pack(t[0], SMALL.width, SMALL.height) + t[1]
+            ),
+        )
+    )
+    @example(REF_HEADER.pack(REF_STORED, 2, 2) + bytes(32))  # a valid stored unit
     @settings(max_examples=300)
     def test_random_payload(self, payload):
-        decode_or_typed_error(ref_decode, ref_unit(payload))
+        decode_or_typed_error(ref_decode, ref_unit(payload), SMALL)
 
-    @given(dims, dims, bodies)
-    @example(0, 0, bytes(7) * (1 << 15))  # copied and widened the body before checking it
+    @given(ref_units())
+    # copied and widened the body before checking it
+    @example((SMALL, REF_HEADER.pack(REF_MAGIC, 0, 0) + bytes(7) * (1 << 15)))
+    # a unit for a larger frame than the stream's, whose runs decode to it
+    @example(
+        (
+            StreamHeader(width=640, height=480),
+            REF_HEADER.pack(REF_MAGIC, 1024, 512) + bytes([255, 0]) * 16448 + bytes([64, 0]),
+        )
+    )
+    # a full-size stored frame, and one a byte short
+    @example(
+        (
+            StreamHeader(width=640, height=480),
+            REF_HEADER.pack(REF_STORED, 640, 480) + bytes(2_457_600),
+        )
+    )
+    @example(
+        (
+            StreamHeader(width=640, height=480),
+            REF_HEADER.pack(REF_STORED, 640, 480) + bytes(2_457_599),
+        )
+    )
     @settings(max_examples=500, deadline=None)
-    def test_valid_header_random_body_is_bounded(self, width, half_height, body):
-        au = ref_unit(REF_HEADER.pack(REF_MAGIC, width, half_height) + body)
+    def test_valid_header_random_body_is_bounded(self, case):
+        hdr, payload = case
+        event(f"tag 0x{payload[0]:02x}")
+        au = ref_unit(payload)
         tracemalloc.start()
         try:
-            decode_or_typed_error(ref_decode, au)
+            decode_or_typed_error(ref_decode, au, hdr)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        declared = width * 2 * half_height * 4  # superframe bytes
+        declared = hdr.width * 2 * hdr.height * 4  # the stream's superframe bytes
         assert peak < 2 * declared + MIB
+
+
+def rle_pairs(stream: bytes) -> int:
+    """Run-length pairs the reference codec needs for stream (loop oracle)."""
+    return sum(-(-len(list(run)) // 255) for _, run in itertools.groupby(stream))
+
+
+def residuals(data: np.ndarray) -> bytes:
+    """Per-row, per-channel left-predictor residuals, modulo 256."""
+    wide = data.astype(np.int16)
+    wide[:, 1:, :] = wide[:, 1:, :] - data[:, :-1, :]
+    return (wide % 256).astype(np.uint8).tobytes()
+
+
+class TestRefRoundTrip:
+    @given(
+        st.integers(1, 8).map(lambda n: 2 * n),
+        st.integers(1, 8).map(lambda n: 2 * n),
+        st.floats(0.0, 1.0),
+        st.integers(0, 2**32 - 1),
+    )
+    @example(4, 4, 0.0, 0)  # constant: run-length
+    @example(4, 4, 1.0, 0)  # uniform noise: stored
+    @settings(max_examples=300)
+    def test_constant_to_noise(self, width, height, noise, seed):
+        # each byte is uniform noise with probability noise, else a constant
+        rng = np.random.default_rng(seed)
+        shape = (2 * height, width, 4)
+        data = np.where(
+            rng.random(shape) < noise,
+            rng.integers(0, 256, size=shape, dtype=np.uint8),
+            np.uint8(rng.integers(0, 256)),
+        ).astype(np.uint8)
+        sf = Superframe(data)
+        au = ref_encode(sf)
+        pairs = rle_pairs(residuals(data))
+        stored = 2 * pairs > data.nbytes
+        event("stored" if stored else "run-length")
+        assert au.payload[0] == (REF_STORED if stored else REF_MAGIC)
+        assert len(au.payload) == REF_HEADER.size + (data.nbytes if stored else 2 * pairs)
+        hdr = StreamHeader(width=width, height=height)
+        assert ref_decode(au, hdr) == sf
+
+
+def container_bytes(width=4, height=2, frames=3) -> bytes:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "clip.rgbz"
+        hdr, clip = container.gen_synthetic(width, height, (30, 1), frames)
+        container.write_container(path, hdr, clip)
+        return path.read_bytes()
+
+
+VALID_CONTAINER = container_bytes()
+CONTAINER_HEADER = struct.Struct(">4sBHHHHddI")  # the .rgbz file header
+container_header = st.builds(
+    CONTAINER_HEADER.pack,
+    st.sampled_from([container.MAGIC, b"RGBX"]),
+    st.sampled_from([container.VERSION, 0, 255]),
+    dims,
+    dims,
+    st.integers(0, 2**16 - 1),
+    st.integers(0, 2**16 - 1),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.one_of(st.integers(0, 4), st.integers(0, 2**32 - 1)),
+)
+
+
+def edited(raw: bytes, at: int, value: int, cut: int) -> bytes:
+    """raw with the byte at `at` replaced and then cut to `cut` bytes."""
+    at %= len(raw)
+    return (raw[:at] + bytes([value]) + raw[at + 1 :])[:cut]
+
+
+class TestReadContainer:
+    @given(
+        st.one_of(
+            st.binary(max_size=128),
+            st.tuples(container_header, st.binary(max_size=256)).map(b"".join),
+            st.builds(
+                edited,
+                st.just(VALID_CONTAINER),
+                st.integers(0, len(VALID_CONTAINER) - 1),
+                st.integers(0, 255),
+                st.integers(0, len(VALID_CONTAINER)),
+            ),
+        )
+    )
+    # a 640x480 header declaring 2**32 - 1 frames, with no frame behind it
+    @example(
+        CONTAINER_HEADER.pack(container.MAGIC, container.VERSION, 640, 480, 30, 1, 0.0, 2.0, 2**32 - 1)
+    )
+    @example(VALID_CONTAINER)
+    @settings(max_examples=300, deadline=None)
+    def test_random_file(self, raw):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "fuzz.rgbz"
+            path.write_bytes(raw)
+            tracemalloc.start()
+            try:
+                decode_or_typed_error(container.read_container, path)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert peak < 4 * len(raw) + MIB
 
 
 class TestPayloadDeserializers:

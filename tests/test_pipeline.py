@@ -4,11 +4,13 @@ import json
 import shutil
 import socket
 import threading
+import tracemalloc
 
 import pytest
 
 from threecpt import cli, codec, container, transport
-from threecpt.errors import AdapterError, TransportError
+from threecpt.errors import AdapterError, BitstreamError, TransportError
+from threecpt.frames import StreamHeader
 from threecpt.relay import RelayServer
 
 from util import (
@@ -59,6 +61,26 @@ def write_stream(tmp_path, w=64, h=48, frames=10):
     path = tmp_path / "stream.rgbz"
     container.write_container(path, hdr, fs)
     return path, fs
+
+
+# a 32,903-byte REF unit whose runs decode exactly to the 1024x1024
+# superframe it declares (4 MiB, 127x the payload)
+OVERSIZED_UNIT = (
+    codec.REF_HEADER.pack(codec.REF_MAGIC, 1024, 512)
+    + bytes([255, 0]) * 16448
+    + bytes([64, 0])
+)
+VGA = StreamHeader(width=640, height=480)
+
+
+def peer_sending(hdr, payload):
+    """A fake signaling and relay pair whose sender streams hdr and one REF
+    unit carrying payload. Returns the signaling address and both threads."""
+    au = codec.EncodedAccessUnit(codec.CodecId.REF_LOSSLESS, codec.FLAG_KEYFRAME, payload)
+    units = [(au, 0)]
+    grant, relay_t = fake_relay(lambda conn: transport.send_stream(conn, hdr, units))
+    addr, signal_t = fake_signaling(grant)
+    return addr, (relay_t, signal_t)
 
 
 class TestEndToEnd:
@@ -166,6 +188,21 @@ class TestEndToEnd:
         assert len(sessions) == 1 and sessions[0].child.returncode is not None
         assert sessions[0].report.frames_in < 20  # the encode stage stopped early
 
+    def test_unit_for_a_larger_frame_fails_before_decoding(self):
+        assert len(OVERSIZED_UNIT) == 32_903
+        addr, threads = peer_sending(VGA, OVERSIZED_UNIT)
+        cfg = cli.ReceiverConfig(signal_addr=addr, channel_id=9)
+        tracemalloc.start()
+        try:
+            with pytest.raises(BitstreamError, match="declares 1024x1024"):
+                cli.run_receiver(cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        for t in threads:
+            t.join(timeout=5)
+        assert peak < 2 * 2_457_600  # twice the stream's own superframe
+
     def test_dump_mode_writes_files(self, server, tmp_path):
         hdr, fs = container.gen_synthetic(640, 480, (30, 1), 2)
         path = tmp_path / "full.rgbz"
@@ -257,9 +294,50 @@ class TestCliMains:
         command = cli.parse_codec(value)
         assert command == (None if value == "ref" else value[len("external:") :])
 
+    def test_send_main_truncated_container_is_source_error(self, tmp_path):
+        path, _ = write_stream(tmp_path, frames=2)
+        path.write_bytes(path.read_bytes()[:-1])
+        # the signaling port is closed: reaching it would exit 3, not 2
+        code = cli.send_main(
+            ["--input", str(path), "--signal", f"127.0.0.1:{closed_port()}", "--channel", "9"]
+        )
+        assert code == cli.EXIT_SOURCE
+
+    def test_send_main_non_increasing_timestamp_is_source_error(self, tmp_path):
+        path, _ = write_stream(tmp_path, w=4, h=2, frames=2)
+        raw = bytearray(path.read_bytes())
+        first = container._HEADER.size
+        second = first + 8 + 4 * 2 * 5  # timestamp, color and depth of frame 0
+        raw[second : second + 8] = raw[first : first + 8]
+        path.write_bytes(bytes(raw))
+        code = cli.send_main(
+            ["--input", str(path), "--signal", f"127.0.0.1:{closed_port()}", "--channel", "9"]
+        )
+        assert code == cli.EXIT_SOURCE
+
+    @pytest.mark.parametrize(
+        "payload, message",
+        [
+            (OVERSIZED_UNIT, "unit declares 1024x1024, stream is 640x960"),
+            (
+                codec.REF_HEADER.pack(codec.REF_STORED, 640, 480) + bytes(2_457_599),
+                "stored body has 2457599",
+            ),
+        ],
+        ids=["unit-for-a-larger-frame", "stored-body-one-byte-short"],
+    )
+    def test_recv_main_bad_ref_unit_is_transport_error(self, payload, message, capsys):
+        (host, port), threads = peer_sending(VGA, payload)
+        code = cli.recv_main(["--signal", f"{host}:{port}", "--channel", "9"])
+        for t in threads:
+            t.join(timeout=5)
+        assert code == cli.EXIT_TRANSPORT
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+
     def test_recv_main_wire_version_mismatch_is_desync(self):
         header = bytearray(transport.PacketHeader(transport.PTYPE_STREAM_HEADER).pack())
-        header[4] = 2  # wire version
+        header[4] = transport.VERSION - 1  # the previous wire version
         grant, relay_t = fake_relay(lambda conn: conn.sendall(bytes(header)))
         (host, port), signal_t = fake_signaling(grant)
         code = cli.recv_main(["--signal", f"{host}:{port}", "--channel", "9"])

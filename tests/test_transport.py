@@ -23,6 +23,7 @@ from threecpt.transport import (
     PTYPE_ACCESS_UNIT,
     PTYPE_END_OF_STREAM,
     PTYPE_STREAM_HEADER,
+    VERSION,
     FramePacket,
     PacketDecoder,
     PacketHeader,
@@ -55,7 +56,7 @@ class TestPacketLayout:
         wire = hdr.pack()
         assert wire.hex() == (
             "33435054"  # "3CPT"
-            "01"  # version
+            "02"  # version
             "01"  # ptype ACCESS_UNIT
             "0001"  # flags
             "0000000000000102"  # channel
@@ -84,9 +85,10 @@ class TestPacketLayout:
 
     def test_unknown_version_rejected(self):
         wire = bytearray(encode_packet(FramePacket(PacketHeader(PTYPE_END_OF_STREAM))))
-        wire[4] = 2
-        with pytest.raises(VersionError):
-            PacketDecoder().feed(bytes(wire))
+        for version in (VERSION - 1, VERSION + 1):
+            wire[4] = version
+            with pytest.raises(VersionError):
+                PacketDecoder().feed(bytes(wire))
 
     def test_unknown_ptype_is_desync(self):
         wire = bytearray(encode_packet(FramePacket(PacketHeader(PTYPE_END_OF_STREAM))))
