@@ -199,7 +199,6 @@ container_header = st.builds(
 
 def edited(raw: bytes, at: int, value: int, cut: int) -> bytes:
     """raw with the byte at `at` replaced and then cut to `cut` bytes."""
-    at %= len(raw)
     return (raw[:at] + bytes([value]) + raw[at + 1 :])[:cut]
 
 
