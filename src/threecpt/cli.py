@@ -198,9 +198,8 @@ class ReceiverConfig:
     signal_addr: tuple
     channel_id: int
     codec: str = "ref"
-    sink: str = "validate"  # validate | dump | both
     resample: str = "nearest"
-    dump_dir: str = "."
+    dump_dir: str | None = None  # write each replayed frame's planes here
     latency_json: str | None = None
     max_validation_failures: int = 0
     frame_hook: object = None  # callable(RgbzFrame), for tests/embedding
@@ -227,14 +226,35 @@ def run_receiver(cfg: ReceiverConfig) -> tuple[ReceiverReport, LatencyReport]:
     report = ReceiverReport()
     latency = LatencyReport()
 
-    # socket reader -> decode stage -> replay stage, each behind a bounded
-    # queue; the split keeps every stage under one frame interval so the
-    # pipeline sustains 30 fps without back-pressuring the sender
-    work: queue.Queue = queue.Queue(maxsize=PIPELINE_QUEUE_FRAMES)
+    # the socket reader decodes and unpacks each unit and hands the frame to
+    # the replay stage through a bounded queue; replay is the slower of the
+    # two, so one hand-off keeps both busy, and a decode error stops the
+    # reader at once
     decoded: queue.Queue = queue.Queue(maxsize=PIPELINE_QUEUE_FRAMES)
-    stage_errors = []
+    errors = []
 
-    def decode_stage(hdr: StreamHeader):
+    def replay_stage(hdr: StreamHeader):
+        replayable = (hdr.width, hdr.height) == (replay.SOURCE_WIDTH, replay.SOURCE_HEIGHT)
+        try:
+            for frame in iter(decoded.get, None):
+                if not replayable:
+                    continue
+                try:
+                    buf = replay.prepare_for_replay(frame, hdr.range, cfg.resample)
+                    replay.sink_consume(buf, dump_dir=cfg.dump_dir, seq=report.replayed_frames)
+                    report.replayed_frames += 1
+                except ValidationError as exc:
+                    report.validation_failures += 1
+                    print(f"frame validation failed: {exc}", file=sys.stderr)
+        except Exception as exc:
+            errors.append(exc)
+            _drain(decoded)  # keep the reader from blocking on a full queue
+
+    with conn:
+        receiver = transport.recv_stream(conn)
+        hdr = receiver.header
+        replayer = threading.Thread(target=replay_stage, args=(hdr,), daemon=True)
+        replayer.start()
         external = None
 
         def emit(sf):
@@ -245,7 +265,8 @@ def run_receiver(cfg: ReceiverConfig) -> tuple[ReceiverReport, LatencyReport]:
             decoded.put(frame)
 
         try:
-            for packet_header, au, recv_us in iter(work.get, None):
+            for packet_header, au in receiver.units():
+                recv_us = _wall_us()
                 if au.codec_id is codec.CodecId.REF_LOSSLESS:
                     sfs = [codec.ref_decode(au, hdr)]
                 else:
@@ -265,53 +286,12 @@ def run_receiver(cfg: ReceiverConfig) -> tuple[ReceiverReport, LatencyReport]:
                 external.close_input()
                 for sf in external.frames(wait=True):
                     emit(sf)
-        except Exception as exc:
-            stage_errors.append(exc)
-            _drain(work)  # keep the socket side from blocking on a full queue
         finally:
-            _close_session(external, stage_errors)
+            _close_session(external, errors)
             decoded.put(None)
-
-    def replay_stage(hdr: StreamHeader):
-        dump = cfg.sink in ("dump", "both")
-        replayable = (hdr.width, hdr.height) == (replay.SOURCE_WIDTH, replay.SOURCE_HEIGHT)
-        try:
-            while True:
-                frame = decoded.get()
-                if frame is None:
-                    break
-                if not replayable:
-                    continue
-                try:
-                    buf = replay.prepare_for_replay(frame, hdr.range, cfg.resample)
-                    replay.sink_consume(
-                        buf,
-                        dump_dir=cfg.dump_dir if dump else None,
-                        seq=report.replayed_frames,
-                    )
-                    report.replayed_frames += 1
-                except ValidationError as exc:
-                    report.validation_failures += 1
-                    print(f"frame validation failed: {exc}", file=sys.stderr)
-        except Exception as exc:
-            stage_errors.append(exc)
-            _drain(decoded)
-
-    with conn:
-        receiver = transport.recv_stream(conn)
-        decoder = threading.Thread(target=decode_stage, args=(receiver.header,), daemon=True)
-        replayer = threading.Thread(target=replay_stage, args=(receiver.header,), daemon=True)
-        decoder.start()
-        replayer.start()
-        try:
-            for packet_header, au in receiver.units():
-                work.put((packet_header, au, _wall_us()))
-        finally:
-            work.put(None)
-            decoder.join()
             replayer.join()
-    if stage_errors:
-        raise stage_errors[0]
+    if errors:
+        raise errors[0]
     report.gap_count = receiver.report.gap_count
     report.payload_bytes = receiver.report.payload_bytes
     report.truncated = receiver.report.truncated
@@ -402,9 +382,8 @@ def recv_main(argv=None) -> int:
     p.add_argument("--signal", type=_addr, required=True, help="signaling host:port")
     p.add_argument("--channel", type=int, required=True)
     p.add_argument("--codec", default="ref", help="ref | external:<command>")
-    p.add_argument("--sink", choices=("validate", "dump", "both"), default="validate")
     p.add_argument("--resample", choices=("nearest", "bilinear"), default="nearest")
-    p.add_argument("--dump-dir", default=".")
+    p.add_argument("--dump-dir", default=None, help="write each replayed frame's planes here")
     p.add_argument("--latency-json", default=None)
     p.add_argument("--max-validation-failures", type=int, default=0)
     args = p.parse_args(argv)
@@ -414,7 +393,6 @@ def recv_main(argv=None) -> int:
         signal_addr=args.signal,
         channel_id=args.channel,
         codec=args.codec,
-        sink=args.sink,
         resample=args.resample,
         dump_dir=args.dump_dir,
         latency_json=args.latency_json,

@@ -10,6 +10,8 @@ The splice buffers no frames: each direction is one blocking recv/sendall
 loop, so TCP backpressure from a slow receiver reaches the sender directly.
 A channel is released when both directions have ended: the relay closes
 both sockets and forgets the channel, so its id can be registered again.
+A register that finds both clients of a paired channel gone gets a fresh
+channel at once, before that release has run.
 A parked (not yet paired) attach whose client has gone is closed and its
 role freed when a register or attach next asks for that role.
 
@@ -111,6 +113,11 @@ class _Channel:
             del self.attached[role]
         return role in self.attached
 
+    def ended(self) -> bool:
+        """Whether the channel was paired and both its clients have gone, so
+        its session is over even if its splice has not released it yet."""
+        return len(self.attached) == 2 and all(map(_client_gone, self.attached.values()))
+
 
 class RelayServer:
     """Runs the signaling and relay listeners on background threads."""
@@ -148,8 +155,12 @@ class RelayServer:
         return sock
 
     def start(self):
-        for target in (self._serve_signaling, self._serve_relay, self._sweep_expired):
-            t = threading.Thread(target=target, daemon=True)
+        for target, args in (
+            (self._serve, (self._signal_sock, self._handle_signaling)),
+            (self._serve, (self._relay_sock, self._handle_attach)),
+            (self._sweep_expired, ()),
+        ):
+            t = threading.Thread(target=target, args=args, daemon=True)
             t.start()
             self._threads.append(t)
         return self
@@ -172,19 +183,18 @@ class RelayServer:
     def __exit__(self, *exc):
         self.stop()
 
-    # --- signaling ---
-
-    def _serve_signaling(self):
+    def _serve(self, listener: socket.socket, handler):
+        """Accept on listener until stopped, one handler thread per connection."""
         while not self._stop.is_set():
             try:
-                conn, _ = self._signal_sock.accept()
+                conn, _ = listener.accept()
             except socket.timeout:
                 continue
             except OSError:
                 return
-            threading.Thread(
-                target=self._handle_signaling, args=(conn,), daemon=True
-            ).start()
+            threading.Thread(target=handler, args=(conn,), daemon=True).start()
+
+    # --- signaling ---
 
     def _handle_signaling(self, conn: socket.socket):
         with conn:
@@ -215,6 +225,10 @@ class RelayServer:
 
         with self._lock:
             chan = self._channels.get(channel_id)
+            if chan is not None and chan.ended():
+                # a fresh channel takes the id; _splice releases only its own
+                del self._channels[channel_id]
+                chan = None
             if chan is None:
                 if len(self._channels) >= self.max_channels:
                     return f"ERR capacity at max {self.max_channels} channels\n"
@@ -225,16 +239,6 @@ class RelayServer:
             return f"OK {self.relay_port} {chan.key.hex()}\n"
 
     # --- relay ---
-
-    def _serve_relay(self):
-        while not self._stop.is_set():
-            try:
-                conn, _ = self._relay_sock.accept()
-            except socket.timeout:
-                continue
-            except OSError:
-                return
-            threading.Thread(target=self._handle_attach, args=(conn,), daemon=True).start()
 
     def _handle_attach(self, conn: socket.socket):
         conn.settimeout(10)

@@ -4,6 +4,7 @@ import json
 import shutil
 import socket
 import threading
+import time
 import tracemalloc
 
 import pytest
@@ -12,6 +13,7 @@ from threecpt import cli, codec, container, transport
 from threecpt.errors import AdapterError, BitstreamError, TransportError
 from threecpt.frames import StreamHeader
 from threecpt.relay import RelayServer
+from threecpt.superframe import pack_superframe
 
 from util import (
     closed_port,
@@ -81,6 +83,12 @@ def peer_sending(hdr, payload):
     grant, relay_t = fake_relay(lambda conn: transport.send_stream(conn, hdr, units))
     addr, signal_t = fake_signaling(grant)
     return addr, (relay_t, signal_t)
+
+
+def wire_packet(ptype, payload):
+    """One packet's bytes as a sender writes them."""
+    header = transport.PacketHeader(ptype, payload_len=len(payload))
+    return transport.encode_packet(transport.FramePacket(header, payload))
 
 
 class TestEndToEnd:
@@ -203,6 +211,52 @@ class TestEndToEnd:
             t.join(timeout=5)
         assert peak < 2 * 2_457_600  # twice the stream's own superframe
 
+    def test_receiver_runs_one_stage_thread(self):
+        hdr, frames = container.gen_synthetic(64, 48, (30, 1), 5)
+        units = [(codec.ref_encode(pack_superframe(f)), 0) for f in frames]
+        before = set(threading.enumerate())
+        grant, relay_t = fake_relay(lambda conn: transport.send_stream(conn, hdr, units))
+        addr, signal_t = fake_signaling(grant)
+        peers = {relay_t, signal_t}
+        alive = []  # the receiver's own threads, seen as each frame is decoded
+
+        def hook(frame):
+            alive.append([t for t in new_threads(before) if t not in peers])
+
+        cfg = cli.ReceiverConfig(signal_addr=addr, channel_id=9, frame_hook=hook)
+        report, _ = cli.run_receiver(cfg)
+        assert report.frames_received == 5
+        assert [len(threads) for threads in alive] == [1] * 5  # the replay stage
+        for t in peers:
+            t.join(timeout=5)
+        assert wait_until(lambda: not new_threads(before))
+
+    def test_bad_unit_stops_the_receiver_while_the_stream_is_open(self):
+        au = codec.EncodedAccessUnit(codec.CodecId.REF_LOSSLESS, codec.FLAG_KEYFRAME, OVERSIZED_UNIT)
+
+        def hold_open(conn):
+            conn.sendall(
+                wire_packet(transport.PTYPE_STREAM_HEADER, transport.serialize_stream_header(VGA))
+                + wire_packet(transport.PTYPE_ACCESS_UNIT, transport.serialize_access_unit(au))
+            )
+            # neither end the stream nor close: wait for the receiver to close
+            conn.settimeout(10)
+            try:
+                conn.recv(1)
+            except OSError:
+                pass
+
+        before = set(threading.enumerate())
+        grant, relay_t = fake_relay(hold_open)
+        addr, signal_t = fake_signaling(grant)
+        start = time.monotonic()
+        with pytest.raises(BitstreamError, match="declares 1024x1024"):
+            cli.run_receiver(cli.ReceiverConfig(signal_addr=addr, channel_id=9))
+        assert time.monotonic() - start < 5.0
+        for t in (relay_t, signal_t):
+            t.join(timeout=5)
+        assert wait_until(lambda: not new_threads(before))
+
     def test_dump_mode_writes_files(self, server, tmp_path):
         hdr, fs = container.gen_synthetic(640, 480, (30, 1), 2)
         path = tmp_path / "full.rgbz"
@@ -213,7 +267,7 @@ class TestEndToEnd:
             path,
             channel=5,
             sender_kw={"fps": 0},
-            receiver_kw={"sink": "dump", "dump_dir": str(dump)},
+            receiver_kw={"dump_dir": str(dump)},
         )
         assert recv.replayed_frames == 2
         assert sorted(p.name for p in dump.iterdir()) == [

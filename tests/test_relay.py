@@ -223,6 +223,13 @@ class TestChannelRelease:
             assert wait_until(lambda: 20 not in server._channels)
         assert wait_until(lambda: not new_threads(before))
 
+    def test_ended_session_id_registers_again_at_once(self, server):
+        before = set(threading.enumerate())
+        for i in range(50):
+            payload = bytes([i]) * 20_000
+            assert run_session(server, 21, payload) == payload  # no wait for the release
+        assert wait_until(lambda: not server._channels and not new_threads(before))
+
     def test_more_sequential_sessions_than_max_channels(self):
         with RelayServer(ttl_seconds=60, max_channels=2) as srv:
             before = set(threading.enumerate())
