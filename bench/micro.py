@@ -3,11 +3,16 @@
 Times pack, ref_encode, ref_decode, unpack, prepare_for_replay (nearest and
 bilinear) and sink_consume on two frames: one orbiting-sphere frame with
 its background suppressed (the sphere-30fps content) and one frame of
-uniform noise (the noise-max content). Each figure is the median, with the
-quartiles, of --calls timed calls after --warmup untimed ones, in ms. The
-threecpt imported is the one in the src/ next to this script. Prints one
-JSON object that also records each frame's REF unit size in bytes beside
-its superframe size, the core count and the Python and numpy versions.
+uniform noise (the noise-max content). For the sphere it also times the
+two sender stages ahead of pack: suppress (suppress_background of the
+unsuppressed frame at the workload's cutoff) and read_frame (the next frame
+of a clip of that frame on disk, written just before, so read from the page
+cache as the benchmark's sender reads its freshly written clip). Each
+figure is the median, with the quartiles, of --calls timed calls after
+--warmup untimed ones, in ms. The threecpt imported is the one in the src/
+next to this script. Prints one JSON object that also records each frame's
+REF unit size in bytes beside its superframe size, the core count and the
+Python and numpy versions.
 
     python bench/micro.py [--calls 40] [--warmup 5]
 """
@@ -19,7 +24,9 @@ import json
 import os
 import platform
 import sys
+import tempfile
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +34,7 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from threecpt import codec, replay  # noqa: E402
-from threecpt.container import gen_synthetic  # noqa: E402
+from threecpt.container import gen_synthetic, read_container, write_container  # noqa: E402
 from threecpt.frames import (  # noqa: E402
     ColorImage,
     DepthMap,
@@ -45,7 +52,8 @@ WIDTH, HEIGHT = 640, 480
 SUPPRESS_CUTOFF = 0.5  # diopters, as in the sphere-30fps workload
 
 
-def frames() -> tuple[StreamHeader, dict[str, RgbzFrame]]:
+def frames() -> tuple[StreamHeader, RgbzFrame, dict[str, RgbzFrame]]:
+    """The header, the unsuppressed sphere frame and both stage inputs."""
     hdr, clip = gen_synthetic(WIDTH, HEIGHT, (30, 1), 8, "orbiting-sphere", seed=1)
     sphere = suppress_background(clip[4], SUPPRESS_CUTOFF, hdr.range)
     rng = np.random.default_rng(1)
@@ -53,7 +61,18 @@ def frames() -> tuple[StreamHeader, dict[str, RgbzFrame]]:
     color[:, :, :3] = rng.integers(0, 256, size=(HEIGHT, WIDTH, 3), dtype=np.uint8)
     codes = rng.integers(0, 256, size=(HEIGHT, WIDTH), dtype=np.uint8)
     noise = RgbzFrame(color=ColorImage(color), depth=DepthMap.all_valid(codes))
-    return hdr, {"sphere": sphere, "noise": noise}
+    return hdr, clip[4], {"sphere": sphere, "noise": noise}
+
+
+def source_stages(hdr: StreamHeader, raw: RgbzFrame, path: Path, frames: int) -> dict:
+    """The sender's stages ahead of pack, on the unsuppressed sphere frame.
+    read_frame may be called `frames` times, the clip's length."""
+    write_container(path, hdr, (replace(raw, timestamp_us=i, seq=i) for i in range(frames)))
+    _, reader = read_container(path)  # closes itself after the last frame
+    return {
+        "read_frame": lambda: next(reader),
+        "suppress": lambda: suppress_background(raw, SUPPRESS_CUTOFF, hdr.range),
+    }
 
 
 def stages(hdr: StreamHeader, frame: RgbzFrame) -> dict:
@@ -89,11 +108,17 @@ def main(argv=None) -> int:
     ap.add_argument("--calls", type=int, default=40)
     ap.add_argument("--warmup", type=int, default=5)
     args = ap.parse_args(argv)
-    hdr, inputs = frames()
+    hdr, raw, inputs = frames()
     ms = {
         name: {stage: time_call(fn, args.calls, args.warmup) for stage, fn in stages(hdr, f).items()}
         for name, f in inputs.items()
     }
+    with tempfile.TemporaryDirectory() as tmp:
+        sender = source_stages(hdr, raw, Path(tmp) / "clip.rgbz", args.warmup + args.calls)
+        ms["sphere"] = {
+            **{stage: time_call(fn, args.calls, args.warmup) for stage, fn in sender.items()},
+            **ms["sphere"],
+        }
     report = {
         "host": {
             "cores": os.cpu_count(),

@@ -109,6 +109,11 @@ def run_sender(cfg: SenderConfig) -> SenderReport:
     the CLI wrapper maps exception types to exit codes."""
     command = parse_codec(cfg.codec)
     hdr, frames = container.read_container(cfg.source)
+    with frames:  # the clip is closed on every exit path, after the encode stage ends
+        return _stream_clip(cfg, command, hdr, frames)
+
+
+def _stream_clip(cfg: SenderConfig, command, hdr: StreamHeader, frames) -> SenderReport:
     fps = hdr.fps if cfg.fps is None else cfg.fps
     interval = 0.0 if fps == 0 else 1.0 / fps
 
@@ -174,6 +179,10 @@ def run_sender(cfg: SenderConfig) -> SenderReport:
             for au in units:
                 yield au, _wall_us()
         ended.append(True)
+        if encode_error:
+            # raising here ends the stream without END_OF_STREAM, so the
+            # receiver reports it truncated
+            raise encode_error[0]
 
     try:
         send = transport.send_stream(conn, hdr, paced_units(), channel_id=cfg.channel_id)
@@ -185,8 +194,6 @@ def run_sender(cfg: SenderConfig) -> SenderReport:
     finally:
         encoder.join()
         conn.close()
-    if encode_error:
-        raise encode_error[0]
     report.packets_sent = send.packets_sent
     report.bytes_sent = send.bytes_sent
     report.wall_time_s = time.monotonic() - clock["start"]

@@ -10,13 +10,20 @@ then per frame:
 
     timestamp_us u64 | color bytes (w*h*4, RGB0) | depth codes (w*h)
 
-Frame count must match the file length exactly and timestamps must strictly
-increase; readers validate both before yielding any frame.
+The clip is streamed from disk. Before the first frame is yielded,
+read_container checks the header, that the frame count matches the file
+length exactly, and that the timestamp column strictly increases (one
+8-byte read per frame). Each frame is then read when it is asked for, and
+only then is its RGB0 pad byte checked, so a bad pad byte in frame k raises
+when frame k is reached. The reader holds about one frame in memory,
+whatever the clip's length. write_container likewise takes frames from any
+iterable without holding them.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import struct
 from pathlib import Path
 
@@ -40,23 +47,18 @@ _TIMESTAMP = struct.Struct(">Q")
 PATTERNS = ("orbiting-sphere", "gradient-sweep")
 
 
-def write_container(path: str | Path, hdr: StreamHeader, frames) -> int:
-    """Write frames to an .rgbz file; returns the frame count."""
-    frames = list(frames)
+def write_container(path: str | Path | int, hdr: StreamHeader, frames) -> int:
+    """Write frames, any iterable, to an .rgbz file; returns the frame count.
+
+    The header goes out with a count of 0 that is patched once the last
+    frame is written, so the frames are never held at once. The file offset
+    is left at the end of the data, which matters to a caller sharing a
+    descriptor with it.
+    """
     with open(path, "wb") as f:
-        f.write(
-            _HEADER.pack(
-                MAGIC,
-                VERSION,
-                hdr.width,
-                hdr.height,
-                hdr.fps_num,
-                hdr.fps_den,
-                hdr.range.min_diopters,
-                hdr.range.max_diopters,
-                len(frames),
-            )
-        )
+        start = f.tell()
+        f.write(_header_bytes(hdr, 0))
+        count = 0
         last_ts = -1
         for frame in frames:
             if (frame.width, frame.height) != (hdr.width, hdr.height):
@@ -71,19 +73,57 @@ def write_container(path: str | Path, hdr: StreamHeader, frames) -> int:
                 )
             last_ts = frame.timestamp_us
             f.write(_TIMESTAMP.pack(frame.timestamp_us))
-            f.write(frame.color.tobytes())
-            f.write(np.ascontiguousarray(frame.depth.codes).tobytes())
-    return len(frames)
+            f.write(np.ascontiguousarray(frame.color.data))
+            f.write(np.ascontiguousarray(frame.depth.codes))
+            count += 1
+        end = f.tell()
+        f.seek(start)
+        f.write(_header_bytes(hdr, count))
+        f.seek(end)
+    return count
 
 
-def read_container(path: str | Path) -> tuple[StreamHeader, list[RgbzFrame]]:
-    """Read and validate an .rgbz file."""
-    raw = Path(path).read_bytes()
+def _header_bytes(hdr: StreamHeader, count: int) -> bytes:
+    return _HEADER.pack(
+        MAGIC,
+        VERSION,
+        hdr.width,
+        hdr.height,
+        hdr.fps_num,
+        hdr.fps_den,
+        hdr.range.min_diopters,
+        hdr.range.max_diopters,
+        count,
+    )
+
+
+def read_container(path: str | Path | int) -> tuple[StreamHeader, FrameReader]:
+    """Open and validate an .rgbz file; returns its header and a reader that
+    yields its frames one at a time.
+
+    The header, the exact file length and the timestamp column are checked
+    here, so a bad file fails before any frame is yielded. The file stays
+    open until the reader is exhausted or closed.
+    """
+    f = open(path, "rb")
+    try:
+        hdr, count = _validate(f)
+    except BaseException:
+        f.close()
+        raise
+    return hdr, FrameReader(f, hdr, count)
+
+
+def _validate(f) -> tuple[StreamHeader, int]:
+    """Check the header, the length and the timestamps of the open file f,
+    leaving its offset at the first frame. Returns the header and the count."""
+    size = os.fstat(f.fileno()).st_size
+    raw = f.read(_HEADER.size)
     if len(raw) < _HEADER.size:
         raise ContainerError(
-            f"file is {len(raw)} bytes, header needs {_HEADER.size} (offset 0)"
+            f"file is {size} bytes, header needs {_HEADER.size} (offset 0)"
         )
-    magic, version, w, h, num, den, dmin, dmax, count = _HEADER.unpack_from(raw)
+    magic, version, w, h, num, den, dmin, dmax, count = _HEADER.unpack(raw)
     if magic != MAGIC:
         raise ContainerError(f"bad magic {magic!r} at offset 0")
     if version != VERSION:
@@ -94,41 +134,87 @@ def read_container(path: str | Path) -> tuple[StreamHeader, list[RgbzFrame]]:
         )
     except ValueError as exc:  # fps or disparity range out of bounds
         raise ContainerError(f"bad header at offset 9: {exc}") from exc
-    frame_bytes = 8 + w * h * 4 + w * h
+    frame_bytes = _frame_bytes(hdr)
     expected = _HEADER.size + count * frame_bytes
-    if len(raw) != expected:
-        bad = _HEADER.size + (len(raw) - _HEADER.size) // frame_bytes * frame_bytes
+    if size != expected:
+        bad = _HEADER.size + (size - _HEADER.size) // frame_bytes * frame_bytes
         raise ContainerError(
             f"header declares {count} frames ({expected} bytes) but file has "
-            f"{len(raw)}; incomplete frame at offset {min(bad, expected)}"
+            f"{size}; incomplete frame at offset {min(bad, expected)}"
         )
-    frames = []
-    offset = _HEADER.size
     last_ts = -1
-    for seq in range(count):
-        (ts,) = _TIMESTAMP.unpack_from(raw, offset)
+    for offset in range(_HEADER.size, expected, frame_bytes):
+        (ts,) = _TIMESTAMP.unpack(os.pread(f.fileno(), _TIMESTAMP.size, offset))
         if ts <= last_ts:
-            raise ContainerError(
-                f"non-increasing timestamp {ts} at offset {offset}"
-            )
+            raise ContainerError(f"non-increasing timestamp {ts} at offset {offset}")
         last_ts = ts
-        offset += 8
+    return hdr, count
+
+
+def _frame_bytes(hdr: StreamHeader) -> int:
+    return _TIMESTAMP.size + hdr.width * hdr.height * 5
+
+
+class FrameReader:
+    """The frames of a validated .rgbz file, in order, one read per frame.
+
+    Each frame is one readinto a fresh frame-sized buffer, and its color
+    and depth are views on that buffer. The file is closed after the last
+    frame, by close(), or on leaving a with block.
+    """
+
+    def __init__(self, f, hdr: StreamHeader, count: int):
+        self._file = f
+        self._hdr = hdr
+        self._count = count
+        self._seq = 0
+
+    def __iter__(self):
+        return self
+
+    def __next__(self) -> RgbzFrame:
+        if self._file.closed or self._seq == self._count:
+            self.close()
+            raise StopIteration
         try:
-            color = ColorImage.from_bytes(raw[offset : offset + w * h * 4], w, h)
+            frame = self._read()
+        except BaseException:  # a bad frame ends the reader
+            self.close()
+            raise
+        self._seq += 1
+        return frame
+
+    def _read(self) -> RgbzFrame:
+        w, h = self._hdr.width, self._hdr.height
+        frame_bytes = _frame_bytes(self._hdr)
+        offset = _HEADER.size + self._seq * frame_bytes
+        buf = np.empty(frame_bytes, dtype=np.uint8)
+        if self._file.readinto(buf) != frame_bytes:  # cut short since it was validated
+            raise ContainerError(f"file ends inside the frame at offset {offset}")
+        (ts,) = _TIMESTAMP.unpack_from(buf)
+        color_at = _TIMESTAMP.size
+        depth_at = color_at + w * h * 4
+        try:
+            color = ColorImage(buf[color_at:depth_at].reshape(h, w, 4))
         except ValueError as exc:  # a nonzero RGB0 pad byte
-            raise ContainerError(f"{exc} in the frame at offset {offset}") from exc
-        offset += w * h * 4
-        codes = np.frombuffer(raw[offset : offset + w * h], dtype=np.uint8)
-        offset += w * h
-        frames.append(
-            RgbzFrame(
-                color=color,
-                depth=DepthMap.all_valid(codes.reshape(h, w).copy()),
-                timestamp_us=ts,
-                seq=seq,
-            )
+            raise ContainerError(
+                f"{exc} in the frame at offset {offset + color_at}"
+            ) from exc
+        return RgbzFrame(
+            color=color,
+            depth=DepthMap.all_valid(buf[depth_at:].reshape(h, w)),
+            timestamp_us=ts,
+            seq=self._seq,
         )
-    return hdr, frames
+
+    def close(self) -> None:
+        self._file.close()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.close()
 
 
 # --- synthetic scenes ---

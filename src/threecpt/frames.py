@@ -274,10 +274,15 @@ def suppress_background(
             f"cutoff {cutoff_diopters} outside range "
             f"[{rng.min_diopters}, {rng.max_diopters}]"
         )
-    disparity = dequantize_disparity(frame.depth.codes, rng)
-    far = (disparity < cutoff_diopters) | (frame.depth.codes == 0)
-    color = frame.color.data.copy()
-    color[far] = 0
+    # dequantized disparity never falls as the code rises, so the far codes
+    # are exactly those below the count of codes that dequantize below the
+    # cutoff; code 0 is far whatever the cutoff
+    far_codes = np.count_nonzero(dequantize_disparity(np.arange(256), rng) < cutoff_diopters)
+    far = frame.depth.codes < max(far_codes, 1)
+    color = frame.color.data.copy()  # C-contiguous, whatever the input's layout
+    # one 4-byte write per far pixel: the pad byte is zero, so zeroing the
+    # whole RGB0 element gives the same bytes as zeroing its channels
+    color.view(np.uint32).reshape(far.shape)[far] = 0
     codes = frame.depth.codes.copy()
     codes[far] = 0
     return replace(

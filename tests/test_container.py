@@ -1,3 +1,6 @@
+import os
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -14,6 +17,7 @@ from threecpt.frames import StreamHeader
 from util import make_frame
 
 HEADER_BYTES = 33  # 4+1+2+2+2+2+8+8+4
+FRAME_BYTES = 8 + 16 * 12 * 5  # a small_stream frame: timestamp, color, depth
 
 
 def small_stream(frames=3, w=16, h=12):
@@ -69,13 +73,14 @@ class TestRoundTrip:
         write_container(path, hdr, frames)
         hdr2, frames2 = read_container(path)
         assert hdr2 == hdr
-        assert frames2 == frames
+        assert list(frames2) == frames
 
     def test_timestamps_and_seq(self, tmp_path):
         hdr, frames = small_stream(frames=4)
         path = tmp_path / "s.rgbz"
         write_container(path, hdr, frames)
         _, out = read_container(path)
+        out = list(out)
         assert [f.seq for f in out] == [0, 1, 2, 3]
         ts = [f.timestamp_us for f in out]
         assert ts == sorted(ts) and len(set(ts)) == 4
@@ -133,11 +138,32 @@ class TestMalformed:
             read_container(path)
 
     def test_nonzero_pad_byte_is_container_error(self, tmp_path):
+        # only when its frame is reached: frames before it are yielded
         path = self.write_sample(tmp_path)
         raw = bytearray(path.read_bytes())
-        raw[HEADER_BYTES + 8 + 3] = 1  # pad byte of frame 0's first pixel
+        color_at = HEADER_BYTES + 2 * FRAME_BYTES + 8  # frame 2's color
+        raw[color_at + 4 * 7 + 3] = 1  # pad byte of its eighth pixel
         path.write_bytes(bytes(raw))
-        with pytest.raises(ContainerError, match=f"offset {HEADER_BYTES + 8}"):
+        _, frames = read_container(path)
+        assert [f.seq for f in (next(frames), next(frames))] == [0, 1]
+        with pytest.raises(ContainerError, match=f"offset {color_at}$"):
+            next(frames)
+        with pytest.raises(StopIteration):  # the error ended the reader
+            next(frames)
+
+    @pytest.mark.parametrize("field", ["timestamp", "length"])
+    def test_bad_last_frame_rejected_before_any_frame(self, tmp_path, field):
+        path = self.write_sample(tmp_path)
+        raw = bytearray(path.read_bytes())
+        last = HEADER_BYTES + 2 * FRAME_BYTES
+        if field == "timestamp":
+            raw[last : last + 8] = raw[last - FRAME_BYTES : last - FRAME_BYTES + 8]
+            match = f"non-increasing timestamp .* at offset {last}"
+        else:
+            raw = raw[:-1]
+            match = f"incomplete frame at offset {last}"
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ContainerError, match=match):
             read_container(path)
 
     def test_non_increasing_timestamp_rejected_on_write(self, tmp_path):
@@ -155,3 +181,62 @@ class TestMalformed:
         hdr, _ = small_stream()
         with pytest.raises(DimensionError):
             write_container(tmp_path / "bad.rgbz", hdr, [make_frame(8, 8, timestamp_us=1)])
+
+
+class TestStreaming:
+    def test_generator_write_matches_list_write(self, tmp_path):
+        hdr, frames = small_stream(frames=4)
+        write_container(tmp_path / "list.rgbz", hdr, frames)
+        assert write_container(tmp_path / "gen.rgbz", hdr, (f for f in frames)) == 4
+        raw = (tmp_path / "list.rgbz").read_bytes()
+        assert (tmp_path / "gen.rgbz").read_bytes() == raw
+        assert int.from_bytes(raw[HEADER_BYTES - 4 : HEADER_BYTES], "big") == 4
+
+    def test_write_leaves_a_shared_offset_at_the_end_of_the_data(self, tmp_path):
+        # a caller that shares the descriptor truncates the file at its offset
+        hdr, frames = small_stream(frames=3)
+        write_container(tmp_path / "list.rgbz", hdr, frames)
+        path = tmp_path / "shared.rgbz"
+        path.write_bytes(bytes(10 * FRAME_BYTES))  # an older, longer clip
+        fd = os.open(path, os.O_RDWR)
+        try:
+            write_container(os.dup(fd), hdr, iter(frames))
+            end = os.lseek(fd, 0, os.SEEK_CUR)
+            os.ftruncate(fd, end)
+        finally:
+            os.close(fd)
+        assert end == HEADER_BYTES + 3 * FRAME_BYTES == path.stat().st_size
+        assert path.read_bytes() == (tmp_path / "list.rgbz").read_bytes()
+
+    def test_reader_closes_its_file(self, tmp_path):
+        hdr, frames = small_stream(frames=3)
+        write_container(tmp_path / "s.rgbz", hdr, frames)
+        _, exhausted = read_container(tmp_path / "s.rgbz")
+        assert len(list(exhausted)) == 3
+        with read_container(tmp_path / "s.rgbz")[1] as stopped_early:
+            next(stopped_early)
+        for reader in (exhausted, stopped_early):
+            assert reader._file.closed
+
+    def test_memory_stays_near_one_frame(self, tmp_path):
+        w, h, count = 160, 120, 64
+        frame_bytes = 8 + w * h * 5
+        hdr, frames = gen_synthetic(w, h, (30, 1), 1)
+        clip = (
+            frames[0].__class__(
+                color=frames[0].color, depth=frames[0].depth, timestamp_us=i, seq=i
+            )
+            for i in range(count)
+        )
+        write_container(tmp_path / "long.rgbz", hdr, clip)
+        tracemalloc.start()
+        try:
+            _, reader = read_container(tmp_path / "long.rgbz")
+            seen = sum(1 for _ in reader)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert seen == count
+        # the frame being read and the one the consumer still holds, each
+        # with its w*h validity mask; holding the clip would be 64 frames
+        assert peak < 3 * frame_bytes

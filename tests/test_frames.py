@@ -239,7 +239,69 @@ class TestOrientation:
         assert pixel_multiset(rot) == pixel_multiset(f)
 
 
+def suppress_oracle(frame, cutoff, rng):
+    """The per-byte form of suppress_background: dequantize every code and
+    zero each far pixel's color bytes through a (h, w) mask."""
+    disparity = dequantize_disparity(frame.depth.codes, rng)
+    far = (disparity < cutoff) | (frame.depth.codes == 0)
+    color = frame.color.data.copy()
+    color[far] = 0
+    codes = frame.depth.codes.copy()
+    codes[far] = 0
+    return color, codes
+
+
+def assert_suppressed_like_oracle(frame, cutoff, rng):
+    out = suppress_background(frame, cutoff, rng)
+    color, codes = suppress_oracle(frame, cutoff, rng)
+    assert out.color.data.tobytes() == color.tobytes()
+    assert out.depth.codes.tobytes() == codes.tobytes()
+    assert np.array_equal(out.depth.validity, frame.depth.validity)
+
+
 class TestSuppressBackground:
+    @given(
+        st.integers(1, 12),
+        st.integers(1, 12),
+        st.integers(0, 2**32 - 1),
+        st.floats(0.0, 1.0),
+        st.sampled_from([R02, DisparityRange(0.25, 3.7), DisparityRange(1.0, 1.5)]),
+    )
+    @settings(max_examples=200)
+    def test_matches_per_byte_oracle(self, w, h, seed, frac, rng):
+        f = make_frame(w, h, seed=seed)
+        codes = f.depth.codes.copy()
+        codes[np.random.default_rng(seed).random((h, w)) < 0.2] = 0  # code-0 pixels
+        f = RgbzFrame(color=f.color, depth=DepthMap.all_valid(codes))
+        assert_suppressed_like_oracle(f, rng.min_diopters + frac * rng.span, rng)
+
+    @pytest.mark.parametrize("code", [0, 1, 77, 128, 254, 255])
+    @pytest.mark.parametrize("rng", [R02, DisparityRange(0.25, 3.7)], ids=["0-2", "0.25-3.7"])
+    def test_cutoff_exactly_at_a_code(self, code, rng):
+        # the code whose dequantized value is the cutoff is kept, the one
+        # below it is not
+        f = make_frame(32, 16, seed=code)
+        codes = f.depth.codes.copy()
+        codes[0, :4] = [0, max(code - 1, 0), code, min(code + 1, 255)]
+        f = RgbzFrame(color=f.color, depth=DepthMap.all_valid(codes))
+        cutoff = float(dequantize_disparity(code, rng))
+        assert_suppressed_like_oracle(f, cutoff, rng)
+        out = suppress_background(f, cutoff, rng)
+        assert (out.depth.codes[0, 2] == 0) == (code == 0)
+
+    def test_non_contiguous_input_matches_oracle(self):
+        # a rot90 view: neither plane is C-contiguous
+        f = make_frame(24, 16, seed=5)
+        view = RgbzFrame(
+            color=ColorImage(np.rot90(f.color.data)),
+            depth=DepthMap(np.rot90(f.depth.codes), np.rot90(f.depth.validity)),
+        )
+        assert not view.color.data.flags.c_contiguous
+        assert_suppressed_like_oracle(view, 0.9, R02)
+        out = suppress_background(view, 0.9, R02)
+        assert out.color.data.flags.c_contiguous
+
+
     def test_cutoff_at_min_zeroes_only_code_zero(self):
         f = make_frame(8, 8, seed=6)
         out = suppress_background(f, R02.min_diopters, R02)

@@ -10,10 +10,10 @@ import tracemalloc
 import pytest
 
 from threecpt import cli, codec, container, transport
-from threecpt.errors import AdapterError, BitstreamError, TransportError
+from threecpt.errors import AdapterError, BitstreamError, ThreecptError, TransportError
 from threecpt.frames import StreamHeader
 from threecpt.relay import RelayServer
-from threecpt.superframe import pack_superframe
+from threecpt.superframe import pack_superframe, superframe_byte_size
 
 from util import (
     closed_port,
@@ -278,6 +278,107 @@ class TestEndToEnd:
         ]
 
 
+def recorded_reads(monkeypatch):
+    """The frame readers that run_sender gets from read_container."""
+    readers = []
+    read = container.read_container
+
+    def recording(path):
+        hdr, frames = read(path)
+        readers.append(frames)
+        return hdr, frames
+
+    monkeypatch.setattr(container, "read_container", recording)
+    return readers
+
+
+def with_bad_pad_byte(path, w, h, seq):
+    """Set a nonzero RGB0 pad byte in frame seq of the clip at path."""
+    raw = bytearray(path.read_bytes())
+    raw[container._HEADER.size + seq * (8 + w * h * 5) + 8 + 3] = 1
+    path.write_bytes(bytes(raw))
+
+
+class TestSenderFailsMidStream:
+    """An encode stage that fails mid-stream ends the stream without
+    END_OF_STREAM, so the receiver reports it truncated."""
+
+    def stream(self, server, path, channel, codec_arg="ref", receiver_codec="ref"):
+        result = {}
+
+        def rx():
+            cfg = cli.ReceiverConfig(
+                signal_addr=(server.host, server.signal_port),
+                channel_id=channel,
+                codec=receiver_codec,
+            )
+            result["report"], _ = cli.run_receiver(cfg)
+
+        t = threading.Thread(target=rx)
+        t.start()
+        code = cli.send_main(
+            [
+                "--input",
+                str(path),
+                "--signal",
+                f"{server.host}:{server.signal_port}",
+                "--channel",
+                str(channel),
+                "--codec",
+                codec_arg,
+                "--as-fast-as-possible",
+            ]
+        )
+        t.join(timeout=30)
+        assert not t.is_alive(), "receiver did not finish"
+        return code, result["report"]
+
+    def test_failing_external_encoder(self, server, tmp_path):
+        # the encoder passes one superframe through, swallows the rest and
+        # exits 3
+        path, _ = write_stream(tmp_path, frames=6)
+        one = superframe_byte_size(64, 48)
+        encoder = f"external:sh -c 'head -c {one}; cat >/dev/null; exit 3'"
+        code, recv = self.stream(server, path, 11, encoder, f"external:{CAT}")
+        assert code == cli.EXIT_TRANSPORT
+        assert recv.truncated and recv.frames_received < 6
+
+    def test_bad_frame_in_the_clip(self, server, tmp_path):
+        path, _ = write_stream(tmp_path, frames=6)
+        with_bad_pad_byte(path, 64, 48, seq=4)
+        code, recv = self.stream(server, path, 12)
+        assert code == cli.EXIT_SOURCE
+        assert recv.truncated and recv.frames_received == 4
+
+
+@pytest.mark.parametrize("exit_path", ["done", "bad-frame", "peer-drops", "no-signaling"])
+def test_sender_closes_the_clip(exit_path, server, tmp_path, monkeypatch):
+    path, _ = write_stream(tmp_path, frames=20)
+    readers = recorded_reads(monkeypatch)
+    addr = (server.host, server.signal_port)
+    if exit_path == "bad-frame":
+        with_bad_pad_byte(path, 64, 48, seq=3)
+    elif exit_path == "peer-drops":
+        grant, _ = fake_relay(lambda conn: conn.recv(1000, socket.MSG_WAITALL))
+        addr, _ = fake_signaling(grant)
+    elif exit_path == "no-signaling":
+        addr = ("127.0.0.1", closed_port())
+    receiver = None
+    if exit_path in ("done", "bad-frame"):
+        cfg = cli.ReceiverConfig(signal_addr=addr, channel_id=13)
+        receiver = threading.Thread(target=cli.run_receiver, args=(cfg,))
+        receiver.start()
+    cfg = cli.SenderConfig(source=str(path), signal_addr=addr, channel_id=13, fps=50)
+    try:
+        cli.run_sender(cfg)
+    except ThreecptError:
+        assert exit_path != "done"
+    finally:
+        if receiver is not None:
+            receiver.join(timeout=30)
+    assert len(readers) == 1 and readers[0]._file.closed
+
+
 class TestCliMains:
     def test_gen_main_writes_container(self, tmp_path, capsys):
         out = tmp_path / "gen.rgbz"
@@ -288,7 +389,7 @@ class TestCliMains:
         info = json.loads(capsys.readouterr().out)
         assert info["frames"] == 4
         hdr, frames = container.read_container(out)
-        assert len(frames) == 4 and hdr.width == 32
+        assert len(list(frames)) == 4 and hdr.width == 32
 
     def test_send_main_missing_source_exit_code(self, server):
         code = cli.send_main(
