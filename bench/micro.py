@@ -1,14 +1,16 @@
 """Per-stage microbenchmark of the pipeline stages at 640x480.
 
-Times pack, ref_encode, ref_decode, unpack, prepare_for_replay (nearest and
-bilinear) and sink_consume on two frames: one orbiting-sphere frame with
-its background suppressed (the sphere-30fps content) and one frame of
-uniform noise (the noise-max content). For the sphere it also times the
-two sender stages ahead of pack: suppress (suppress_background of the
-unsuppressed frame at the workload's cutoff) and read_frame (the next frame
-of a clip of that frame on disk, written just before, so read from the page
-cache as the benchmark's sender reads its freshly written clip). Each
-figure is the median, with the quartiles, of --calls timed calls after
+Times pack, ref_encode, frame (serialize_access_unit and encode_packet of
+the REF unit), reassemble (PacketDecoder.feed of that packet in 64 KiB
+chunks and deserialize_access_unit), ref_decode, unpack, prepare_for_replay
+(nearest and bilinear) and sink_consume on two frames: one orbiting-sphere
+frame with its background suppressed (the sphere-30fps content) and one
+frame of uniform noise (the noise-max content). For the sphere it also
+times the two sender stages ahead of pack: suppress (suppress_background of
+the unsuppressed frame at the workload's cutoff) and read_frame (the next
+frame of a clip of that frame on disk, written just before, so read from
+the page cache as the benchmark's sender reads its freshly written clip).
+Each figure is the median, with the quartiles, of --calls timed calls after
 --warmup untimed ones, in ms. The threecpt imported is the one in the src/
 next to this script. Prints one JSON object that also records each frame's
 REF unit size in bytes beside its superframe size, the core count and the
@@ -33,7 +35,7 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from threecpt import codec, replay  # noqa: E402
+from threecpt import codec, replay, transport  # noqa: E402
 from threecpt.container import gen_synthetic, read_container, write_container  # noqa: E402
 from threecpt.frames import (  # noqa: E402
     ColorImage,
@@ -50,6 +52,7 @@ from threecpt.superframe import (  # noqa: E402
 
 WIDTH, HEIGHT = 640, 480
 SUPPRESS_CUTOFF = 0.5  # diopters, as in the sphere-30fps workload
+CHUNK = 65536  # bytes per receiver recv, as transport.RECV_SIZE
 
 
 def frames() -> tuple[StreamHeader, RgbzFrame, dict[str, RgbzFrame]]:
@@ -79,10 +82,28 @@ def stages(hdr: StreamHeader, frame: RgbzFrame) -> dict:
     """Each stage as a no-argument call on the output of the stage before."""
     sf = pack_superframe(frame)
     au = codec.ref_encode(sf)
+
+    def frame_unit():
+        payload = transport.serialize_access_unit(au)
+        header = transport.PacketHeader(
+            transport.PTYPE_ACCESS_UNIT, au.flags, payload_len=len(payload)
+        )
+        return transport.encode_packet(transport.FramePacket(header, payload))
+
+    wire = frame_unit()
+    chunks = [wire[i : i + CHUNK] for i in range(0, len(wire), CHUNK)]
+
+    def reassemble():
+        decoder = transport.PacketDecoder()
+        (packet,) = [p for chunk in chunks for p in decoder.feed(chunk)]
+        return transport.deserialize_access_unit(packet.payload)
+
     buf = replay.prepare_for_replay(frame, hdr.range, "nearest")
     return {
         "pack": lambda: pack_superframe(frame),
         "ref_encode": lambda: codec.ref_encode(sf),
+        "frame": frame_unit,
+        "reassemble": reassemble,
         "ref_decode": lambda: codec.ref_decode(au, hdr),
         "unpack": lambda: unpack_superframe(sf, hdr),
         "prepare_nearest": lambda: replay.prepare_for_replay(frame, hdr.range, "nearest"),

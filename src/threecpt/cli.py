@@ -3,9 +3,10 @@
 The sender and receiver are also importable as run_sender / run_receiver so
 integration tests can drive loopback pipelines in-process.
 
-Exit codes: 0 success, 2 source error or bad argument, 3 signaling error,
-4 relay/transport error, 5 protocol desync, 6 validation-failure threshold
-exceeded.
+Exit codes: 0 success, 2 source error or bad argument (rgbz-recv: also a
+--dump-dir or --latency-json it cannot write), 3 signaling error, 4
+relay/transport error (also a connection that fails mid-stream), 5 protocol
+desync, 6 validation-failure threshold exceeded.
 """
 
 from __future__ import annotations
@@ -416,6 +417,9 @@ def recv_main(argv=None) -> int:
     except ThreecptError as exc:
         print(f"transport error: {exc}", file=sys.stderr)
         return EXIT_TRANSPORT
+    except OSError as exc:  # a --dump-dir or --latency-json write; sockets raise TransportError
+        print(f"cannot write output: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     out = report.to_dict()
     if latency.count:
         out["latency"] = latency.summary()

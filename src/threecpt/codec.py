@@ -63,11 +63,12 @@ class CodecId(enum.Enum):
 
 @dataclass(frozen=True)
 class EncodedAccessUnit:
-    """One encoded frame's worth of bitstream."""
+    """One encoded frame's worth of bitstream. The payload is bytes-like: a
+    received unit's is a memoryview on its packet's payload."""
 
     codec_id: CodecId
     flags: int
-    payload: bytes
+    payload: bytes | memoryview
 
     def __post_init__(self):
         if not self.payload:
@@ -81,13 +82,13 @@ class EncodedAccessUnit:
 
 
 def _row_residuals(data: np.ndarray) -> np.ndarray:
-    resid = data.copy()
-    # left predictor per channel, modulo 256 (uint8 subtraction wraps)
-    resid[:, 1:, :] = data[:, 1:, :] - data[:, :-1, :]
-    return resid.reshape(-1)
+    # left predictor per channel, modulo 256 (uint8 subtraction wraps); the
+    # zero column in front keeps each row's leftmost pixel verbatim
+    zero = np.zeros((data.shape[0], 1, data.shape[2]), dtype=np.uint8)
+    return np.diff(data, axis=1, prepend=zero).reshape(-1)
 
 
-def _rle_encode(stream: np.ndarray, change: np.ndarray) -> bytes:
+def _rle_encode(stream: np.ndarray, change: np.ndarray) -> np.ndarray:
     """Run-length pairs of stream; change is stream[1:] != stream[:-1]."""
     change = np.flatnonzero(change)
     starts = np.empty(len(change) + 1, dtype=np.intp)
@@ -96,22 +97,16 @@ def _rle_encode(stream: np.ndarray, change: np.ndarray) -> bytes:
     runs = np.empty(len(starts), dtype=np.intp)
     np.subtract(starts[1:], starts[:-1], out=runs[:-1])
     runs[-1] = len(stream) - starts[-1]
-    vals = stream.take(starts)
-
-    if runs.max(initial=1) <= 255:
-        counts = runs.astype(np.uint8)
-    else:
-        # split runs longer than 255 into full chunks plus a remainder
-        full, rem = np.divmod(runs, 255)
-        reps = full + (rem > 0)
-        counts = np.full(int(reps.sum()), 255, dtype=np.uint8)
-        last = np.cumsum(reps) - 1
-        counts[last[rem > 0]] = rem[rem > 0]
-        vals = np.repeat(vals, reps)
+    # split each run into full chunks of 255 plus a nonzero remainder
+    full, rem = np.divmod(runs, 255)
+    reps = full + (rem > 0)
+    counts = np.full(int(reps.sum()), 255, dtype=np.uint8)
+    last = np.cumsum(reps) - 1
+    counts[last[rem > 0]] = rem[rem > 0]
     out = np.empty(2 * len(counts), dtype=np.uint8)
     out[0::2] = counts
-    out[1::2] = vals
-    return out.tobytes()
+    out[1::2] = np.repeat(stream.take(starts), reps)
+    return out
 
 
 def ref_encode(sf: Superframe) -> EncodedAccessUnit:
@@ -127,13 +122,13 @@ def ref_encode(sf: Superframe) -> EncodedAccessUnit:
     if 2 * (np.count_nonzero(change) + 1) <= data.nbytes:
         body = _rle_encode(resid, change)
     if body is None or len(body) > data.nbytes:
-        tag, body = REF_STORED, data.tobytes()
+        tag, body = REF_STORED, data
     else:
         tag = REF_MAGIC
     return EncodedAccessUnit(
         codec_id=CodecId.REF_LOSSLESS,
         flags=FLAG_KEYFRAME,
-        payload=REF_HEADER.pack(tag, sf.width, sf.height // 2) + body,
+        payload=b"".join((REF_HEADER.pack(tag, sf.width, sf.height // 2), body)),
     )
 
 
@@ -332,14 +327,13 @@ class ExternalSession:
                 f"transcoder output ended mid-frame ({partial}/{size} bytes): "
                 f"{self._diagnostics()}"
             )
-        out = [
-            Superframe.from_bytes(
-                bytes(self._pending[i * size : (i + 1) * size]),
-                self.hdr.width,
-                2 * self.hdr.height,
-            )
-            for i in range(count)
-        ]
+        with memoryview(self._pending) as view:
+            out = [
+                Superframe.from_bytes(
+                    view[i * size : (i + 1) * size], self.hdr.width, 2 * self.hdr.height
+                )
+                for i in range(count)
+            ]
         del self._pending[: count * size]
         self.report.frames_out += count
         self.report.bytes_out += count * size
@@ -355,11 +349,12 @@ class ExternalSession:
         """
         self._fill(wait)
         out = []
-        for start in range(0, len(self._pending), MAX_UNIT_BYTES):
-            chunk = bytes(self._pending[start : start + MAX_UNIT_BYTES])
-            flags = FLAG_KEYFRAME if self.report.bytes_out == 0 else 0
-            self.report.bytes_out += len(chunk)
-            out.append(EncodedAccessUnit(CodecId.EXTERNAL, flags, chunk))
+        with memoryview(self._pending) as view:
+            for start in range(0, len(view), MAX_UNIT_BYTES):
+                chunk = bytes(view[start : start + MAX_UNIT_BYTES])
+                flags = FLAG_KEYFRAME if self.report.bytes_out == 0 else 0
+                self.report.bytes_out += len(chunk)
+                out.append(EncodedAccessUnit(CodecId.EXTERNAL, flags, chunk))
         self._pending.clear()
         return out
 

@@ -63,7 +63,8 @@ class ColorImage:
             raise DimensionError(f"color data must be (h, w, 4) uint8, got {d.shape} {d.dtype}")
         if d.shape[0] == 0 or d.shape[1] == 0:
             raise DimensionError("color image has a zero dimension")
-        if d[:, :, 3].any():
+        # little-endian RGB0 pixels: a nonzero pad byte makes the word exceed 24 bits
+        if (np.ascontiguousarray(d).view("<u4") > 0x00FFFFFF).any():
             raise ValueError("RGB0 pad byte (channel 3) must be zero")
 
     @property

@@ -85,10 +85,10 @@ def unpack_superframe(sf: Superframe, hdr: StreamHeader) -> RgbzFrame:
     """Split a superframe back into color and depth.
 
     The depth code is recovered as round((R + G + B) / 3) to average out
-    per-channel codec noise; after the lossless reference codec this equals
-    R exactly. All pixels come back marked valid (gaps are filled before
-    packing); timestamp and seq are the caller's to fill from transport
-    metadata.
+    per-channel codec noise; when R = G = B, as after the lossless reference
+    codec, this is R exactly. All pixels come back marked valid (gaps are
+    filled before packing); timestamp and seq are the caller's to fill from
+    transport metadata.
     """
     if sf.width != hdr.width or sf.height != 2 * hdr.height:
         raise FormatError(
@@ -98,13 +98,7 @@ def unpack_superframe(sf: Superframe, hdr: StreamHeader) -> RgbzFrame:
     h = hdr.height
     color = sf.data[:h].copy()
     color[:, :, 3] = 0  # pad byte may carry codec noise
-    r = sf.data[h:, :, 0]
-    g = sf.data[h:, :, 1]
-    b = sf.data[h:, :, 2]
-    if np.array_equal(r, g) and np.array_equal(r, b):
-        codes = r.copy()  # lossless path: channels agree, R is the code
-    else:
-        s = r.astype(np.uint16) + g + b
-        # round(s / 3) == (2s + 3) // 6 in exact integer arithmetic
-        codes = ((2 * s + 3) // 6).astype(np.uint8)
+    s = sf.data[h:, :, 0].astype(np.uint16) + sf.data[h:, :, 1] + sf.data[h:, :, 2]
+    # round(s / 3) == (2s + 3) // 6 in exact integer arithmetic
+    codes = ((2 * s + 3) // 6).astype(np.uint8)
     return RgbzFrame(color=ColorImage(color), depth=DepthMap.all_valid(codes))

@@ -33,6 +33,8 @@ FLAG_KEYFRAME = 0x0001
 
 MAX_PAYLOAD = 64 * 1024 * 1024  # sanity bound
 
+RECV_SIZE = 65536  # bytes a receiver asks of its socket per recv
+
 HEADER = struct.Struct(">4sBBHQQQI")
 HEADER_SIZE = HEADER.size  # 36
 
@@ -97,18 +99,19 @@ class PacketDecoder:
 
     def feed(self, chunk: bytes) -> list[FramePacket]:
         """Absorb one chunk; return every packet completed by it."""
-        self._buf.extend(chunk)
+        buf = self._buf
+        buf.extend(chunk)
         packets = []
-        while True:
-            if len(self._buf) < HEADER_SIZE:
-                break
-            header = PacketHeader.unpack(bytes(self._buf[:HEADER_SIZE]))
-            total = HEADER_SIZE + header.payload_len
-            if len(self._buf) < total:
-                break
-            payload = bytes(self._buf[HEADER_SIZE:total])
-            del self._buf[:total]
-            packets.append(FramePacket(header, payload))
+        start = 0
+        with memoryview(buf) as view:
+            while len(buf) - start >= HEADER_SIZE:
+                header = PacketHeader.unpack(buf[start : start + HEADER_SIZE])
+                end = start + HEADER_SIZE + header.payload_len
+                if len(buf) < end:
+                    break
+                packets.append(FramePacket(header, bytes(view[start + HEADER_SIZE : end])))
+                start = end
+        del buf[:start]
         return packets
 
     @property
@@ -153,10 +156,11 @@ def serialize_access_unit(au: EncodedAccessUnit) -> bytes:
 
 
 def deserialize_access_unit(raw: bytes) -> EncodedAccessUnit:
+    """The unit in a packet payload; its payload is a view on raw."""
     if len(raw) < 3:
         raise FormatError("access unit payload too short")
     try:
-        return EncodedAccessUnit(CodecId(raw[0]), raw[1], raw[2:])
+        return EncodedAccessUnit(CodecId(raw[0]), raw[1], memoryview(raw)[2:])
     except ValueError as exc:
         raise FormatError(f"bad access unit: {exc}") from exc
 
@@ -217,49 +221,44 @@ def send_stream(conn, hdr: StreamHeader, units, channel_id: int = 0) -> SendRepo
     return report
 
 
+def _read_packets(conn):
+    """Yield each packet as its last byte arrives on conn, until it closes."""
+    decoder = PacketDecoder()
+    while True:
+        try:
+            chunk = conn.recv(RECV_SIZE)
+        except OSError as exc:
+            raise TransportError(f"connection failed: {exc}") from exc
+        if not chunk:
+            return
+        yield from decoder.feed(chunk)
+
+
 class StreamReceiver:
     """Receives one stream: header first, then access units in seq order.
 
     Sequence gaps are counted in the end report, not fatal (TCP preserves
     order; gaps can only come from sender-side drops). The report is
-    complete once units() is exhausted.
+    complete once units() is exhausted. A failed connection raises
+    TransportError.
     """
 
-    def __init__(self, conn, recv_size: int = 65536):
-        self.conn = conn
-        self.recv_size = recv_size
+    def __init__(self, conn):
         self.report = EndReport()
-        self._decoder = PacketDecoder()
-        self._queue: list[FramePacket] = []
-        self.header: StreamHeader | None = None
-        self._read_header()
-
-    def _next_packet(self) -> FramePacket | None:
-        while not self._queue:
-            chunk = self.conn.recv(self.recv_size)
-            if not chunk:
-                return None
-            self._queue.extend(self._decoder.feed(chunk))
-        return self._queue.pop(0)
-
-    def _read_header(self):
-        packet = self._next_packet()
+        self._packets = _read_packets(conn)
+        packet = next(self._packets, None)
         if packet is None:
             raise TransportError("connection closed before stream header")
         if packet.header.ptype != PTYPE_STREAM_HEADER:
             raise ProtocolError(
                 f"expected STREAM_HEADER first, got ptype {packet.header.ptype}"
             )
-        self.header = deserialize_stream_header(packet.payload)
+        self.header: StreamHeader = deserialize_stream_header(packet.payload)
 
     def units(self):
         """Yield (PacketHeader, EncodedAccessUnit) until end of stream."""
         expected_seq = 0
-        while True:
-            packet = self._next_packet()
-            if packet is None:
-                self.report.truncated = True
-                return
+        for packet in self._packets:
             if packet.header.ptype == PTYPE_END_OF_STREAM:
                 return
             if packet.header.ptype == PTYPE_STREAM_HEADER:
@@ -274,6 +273,7 @@ class StreamReceiver:
             self.report.units_received += 1
             self.report.payload_bytes += len(packet.payload)
             yield packet.header, deserialize_access_unit(packet.payload)
+        self.report.truncated = True
 
 
 def recv_stream(conn) -> StreamReceiver:

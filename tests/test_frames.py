@@ -50,6 +50,9 @@ class TestColorImage:
         data[0, 0, 3] = 1
         with pytest.raises(ValueError):
             ColorImage(data)
+        # a non-contiguous view of the same pixels is checked the same way
+        with pytest.raises(ValueError, match="pad byte"):
+            ColorImage(np.rot90(data))
 
     def test_byte_length(self):
         img = make_frame(3, 5).color

@@ -136,9 +136,14 @@ class TestRefDecode:
         assert peak < 2 * declared + MIB
 
 
-def rle_pairs(stream: bytes) -> int:
-    """Run-length pairs the reference codec needs for stream (loop oracle)."""
-    return sum(-(-len(list(run)) // 255) for _, run in itertools.groupby(stream))
+def rle_body(stream: bytes) -> bytes:
+    """The reference codec's run-length pairs for stream (loop oracle): each
+    run as (255, value) chunks first, then its nonzero remainder."""
+    body = bytearray()
+    for value, run in itertools.groupby(stream):
+        full, rem = divmod(len(list(run)), 255)
+        body += bytes([255, value]) * full + (bytes([rem, value]) if rem else b"")
+    return bytes(body)
 
 
 def residuals(data: np.ndarray) -> bytes:
@@ -155,7 +160,8 @@ class TestRefRoundTrip:
         st.floats(0.0, 1.0),
         st.integers(0, 2**32 - 1),
     )
-    @example(4, 4, 0.0, 0)  # constant: run-length
+    @example(4, 4, 0.0, 0)  # constant: run-length, every run at most 255
+    @example(16, 16, 0.0, 7)  # all zero: one run of 2048, split into 255s
     @example(4, 4, 1.0, 0)  # uniform noise: stored
     @settings(max_examples=300)
     def test_constant_to_noise(self, width, height, noise, seed):
@@ -169,11 +175,11 @@ class TestRefRoundTrip:
         ).astype(np.uint8)
         sf = Superframe(data)
         au = ref_encode(sf)
-        pairs = rle_pairs(residuals(data))
-        stored = 2 * pairs > data.nbytes
+        body = rle_body(residuals(data))
+        stored = len(body) > data.nbytes
         event("stored" if stored else "run-length")
         assert au.payload[0] == (REF_STORED if stored else REF_MAGIC)
-        assert len(au.payload) == REF_HEADER.size + (data.nbytes if stored else 2 * pairs)
+        assert au.payload[REF_HEADER.size :] == (data.tobytes() if stored else body)
         hdr = StreamHeader(width=width, height=height)
         assert ref_decode(au, hdr) == sf
 

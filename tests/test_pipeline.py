@@ -3,6 +3,7 @@
 import json
 import shutil
 import socket
+import struct
 import threading
 import time
 import tracemalloc
@@ -20,6 +21,7 @@ from util import (
     fake_relay,
     fake_signaling,
     frame_checksum,
+    make_frame,
     new_threads,
     wait_until,
 )
@@ -489,6 +491,39 @@ class TestCliMains:
         assert code == cli.EXIT_TRANSPORT
         err = capsys.readouterr().err
         assert message in err and "Traceback" not in err
+
+    def test_recv_main_connection_reset_is_transport_error(self, capsys):
+        header = transport.serialize_stream_header(VGA)
+
+        def reset_after_header(conn):
+            conn.sendall(wire_packet(transport.PTYPE_STREAM_HEADER, header))
+            # closing with SO_LINGER 0 resets the connection
+            conn.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+
+        grant, relay_t = fake_relay(reset_after_header)
+        (host, port), signal_t = fake_signaling(grant)
+        code = cli.recv_main(["--signal", f"{host}:{port}", "--channel", "9"])
+        relay_t.join(timeout=5)
+        signal_t.join(timeout=5)
+        assert code == cli.EXIT_TRANSPORT
+        err = capsys.readouterr().err
+        assert "connection failed" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("flag", ["--dump-dir", "--latency-json"])
+    def test_recv_main_unwritable_output_is_usage_error(self, flag, tmp_path, capsys):
+        regular = tmp_path / "regular"
+        regular.write_bytes(b"")
+        target = regular / "dump" if flag == "--dump-dir" else tmp_path / "missing" / "lat.json"
+        before = set(threading.enumerate())
+        payload = codec.ref_encode(pack_superframe(make_frame(640, 480))).payload
+        (host, port), threads = peer_sending(VGA, payload)
+        code = cli.recv_main(["--signal", f"{host}:{port}", "--channel", "9", flag, str(target)])
+        for t in threads:
+            t.join(timeout=5)
+        assert code == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("cannot write output: ") and err.count("\n") == 1
+        assert wait_until(lambda: not new_threads(before))
 
     def test_recv_main_wire_version_mismatch_is_desync(self):
         header = bytearray(transport.PacketHeader(transport.PTYPE_STREAM_HEADER).pack())

@@ -328,3 +328,24 @@ class TestStreams:
         with pytest.raises(TransportError):
             recv_stream(b)
         b.close()
+
+    @pytest.mark.parametrize("after_header", [False, True], ids=["before-header", "mid-stream"])
+    def test_connection_reset_is_transport_error(self, after_header):
+        # a TCP peer that closes with SO_LINGER 0 resets the connection
+        with socket.create_server(("127.0.0.1", 0)) as listener:
+            b = socket.create_connection(listener.getsockname())
+            a, _ = listener.accept()
+        with b:
+            if after_header:
+                header = serialize_stream_header(self.HDR)
+                packet_header = PacketHeader(PTYPE_STREAM_HEADER, payload_len=len(header))
+                packet = FramePacket(packet_header, header)
+                a.sendall(encode_packet(packet))
+                receiver = recv_stream(b)
+            a.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+            a.close()
+            with pytest.raises(TransportError, match="connection failed"):
+                if after_header:
+                    list(receiver.units())
+                else:
+                    recv_stream(b)
