@@ -3,7 +3,9 @@
 Times pack, ref_encode, frame (serialize_access_unit and encode_packet of
 the REF unit), reassemble (PacketDecoder.feed of that packet in 64 KiB
 chunks and deserialize_access_unit), ref_decode, unpack, prepare_for_replay
-(nearest and bilinear) and sink_consume on two frames: one orbiting-sphere
+(prepare_nearest and prepare_bilinear into a fresh buffer each call,
+prepare_nearest_held into one buffer held across calls, as the receiver's
+replay thread does) and sink_consume on two frames: one orbiting-sphere
 frame with its background suppressed (the sphere-30fps content) and one
 frame of uniform noise (the noise-max content). For the sphere it also
 times the two sender stages ahead of pack: suppress (suppress_background of
@@ -99,6 +101,7 @@ def stages(hdr: StreamHeader, frame: RgbzFrame) -> dict:
         return transport.deserialize_access_unit(packet.payload)
 
     buf = replay.prepare_for_replay(frame, hdr.range, "nearest")
+    held = replay.prepare_for_replay(frame, hdr.range, "nearest")
     return {
         "pack": lambda: pack_superframe(frame),
         "ref_encode": lambda: codec.ref_encode(sf),
@@ -107,6 +110,9 @@ def stages(hdr: StreamHeader, frame: RgbzFrame) -> dict:
         "ref_decode": lambda: codec.ref_decode(au, hdr),
         "unpack": lambda: unpack_superframe(sf, hdr),
         "prepare_nearest": lambda: replay.prepare_for_replay(frame, hdr.range, "nearest"),
+        "prepare_nearest_held": lambda: replay.prepare_for_replay(
+            frame, hdr.range, "nearest", out=held
+        ),
         "prepare_bilinear": lambda: replay.prepare_for_replay(frame, hdr.range, "bilinear"),
         "sink_consume": lambda: replay.sink_consume(buf),
     }

@@ -236,22 +236,24 @@ def run_receiver(cfg: ReceiverConfig) -> tuple[ReceiverReport, LatencyReport]:
 
     # the socket reader decodes and unpacks each unit and hands the frame to
     # the replay stage through a bounded queue; replay is the slower of the
-    # two, so one hand-off keeps both busy, and a decode error stops the
-    # reader at once
+    # two, so one hand-off keeps both busy; a decode error stops the reader
+    # at once, and a replay error before the next unit
     decoded: queue.Queue = queue.Queue(maxsize=PIPELINE_QUEUE_FRAMES)
     errors = []
 
     def replay_stage(hdr: StreamHeader):
         replayable = (hdr.width, hdr.height) == (replay.SOURCE_WIDTH, replay.SOURCE_HEIGHT)
+        buf = None  # one SLM buffer, refilled frame after frame
         try:
             for frame in iter(decoded.get, None):
                 if not replayable:
                     continue
                 try:
-                    buf = replay.prepare_for_replay(frame, hdr.range, cfg.resample)
+                    buf = replay.prepare_for_replay(frame, hdr.range, cfg.resample, out=buf)
                     replay.sink_consume(buf, dump_dir=cfg.dump_dir, seq=report.replayed_frames)
                     report.replayed_frames += 1
                 except ValidationError as exc:
+                    buf = None  # a buffer that failed validation is not refilled
                     report.validation_failures += 1
                     print(f"frame validation failed: {exc}", file=sys.stderr)
         except Exception as exc:
@@ -274,6 +276,8 @@ def run_receiver(cfg: ReceiverConfig) -> tuple[ReceiverReport, LatencyReport]:
 
         try:
             for packet_header, au in receiver.units():
+                if errors:
+                    raise errors[0]  # the replay stage failed: stop reading
                 recv_us = _wall_us()
                 if au.codec_id is codec.CodecId.REF_LOSSLESS:
                     sfs = [codec.ref_decode(au, hdr)]

@@ -137,7 +137,9 @@ def ref_decode(au: EncodedAccessUnit, hdr: StreamHeader) -> Superframe:
 
     The unit's frame size is checked against hdr, and its body against that
     size, before anything is allocated, so no payload can make the decoder
-    allocate more than the stream's own superframe.
+    allocate more than the stream's own superframe. A stored unit decodes
+    to a view on its payload, so the payload must stay unchanged while the
+    superframe is in use.
     """
     if au.codec_id is not CodecId.REF_LOSSLESS:
         raise AdapterError(f"expected REF_LOSSLESS unit, got {au.codec_id.name}")
@@ -160,7 +162,7 @@ def ref_decode(au: EncodedAccessUnit, hdr: StreamHeader) -> Superframe:
                 f"declared {width}x{2 * half_height} needs {expected} bytes, "
                 f"stored body has {len(body)}"
             )
-        return Superframe(body.reshape(2 * half_height, width, 4).copy())
+        return Superframe(body.reshape(2 * half_height, width, 4))
     # check the run-length stream in place, as bytes, and its decoded
     # length before expanding it
     if len(body) % 2:

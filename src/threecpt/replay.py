@@ -5,8 +5,9 @@ frame is upscaled 2x to 1280x960 straight into its window, centered in the
 2048x1024 effective field, which is the top half of the zero-filled
 2048x2048 SLM buffer. Each element is 4 bytes: R, G, B, Z, where Z is the
 8-bit quantized disparity code and the sidecar DisparityRange says how to
-read it in diopters. sink_consume validates a buffer and stands in for the
-hologram engine handoff.
+read it in diopters. The caller may pass the buffer to fill, as the receiver
+does with the one it holds: the chain rewrites the whole window and nothing
+else. sink_consume validates a buffer and stands in for the engine handoff.
 
 The bilinear filter packs a source pixel's R, G, B and zero pad bytes into
 the four 16-bit lanes of one uint64, so one add filters all three channels.
@@ -72,13 +73,14 @@ class SinkStats:
 
 
 def prepare_for_replay(
-    frame: RgbzFrame, rng: DisparityRange, mode: str = "nearest"
+    frame: RgbzFrame, rng: DisparityRange, mode: str = "nearest", out: SlmBuffer | None = None
 ) -> SlmBuffer:
     """Full geometry chain: 640x480 -> 1280x960 -> field -> SLM buffer.
 
     Nearest replicates each (R, G, B, Z) element into a 2x2 block. Bilinear
     then interpolates the color bytes under half-pixel-center alignment and
     keeps depth nearest (interpolated depth codes fabricate surfaces).
+    Fills out's window if given, else that of a fresh zero buffer.
     """
     if (frame.width, frame.height) != (SOURCE_WIDTH, SOURCE_HEIGHT):
         raise DimensionError(
@@ -87,9 +89,9 @@ def prepare_for_replay(
         )
     if mode not in ("nearest", "bilinear"):
         raise ValueError(f"unknown resample mode {mode!r}")
-    # one allocation: the upscaled elements go straight into the embed
-    # window, and everything else stays zero
-    elements = np.zeros((SLM_HEIGHT, SLM_WIDTH, 4), dtype=np.uint8)
+    # the upscaled elements go straight into the embed window, and
+    # everything else stays as it is
+    elements = np.zeros((SLM_HEIGHT, SLM_WIDTH, 4), np.uint8) if out is None else out.elements
     rows = slice(EMBED_Y, EMBED_Y + UPSCALED_HEIGHT)
     cols = slice(EMBED_X, EMBED_X + UPSCALED_WIDTH)
     src = frame.color.data.copy()
@@ -100,7 +102,7 @@ def prepare_for_replay(
     # 2x2 replication on whole elements: one uint32 per (R,G,B,Z);
     # columns doubled once, then each doubled row written twice
     up = np.repeat(src32, 2, axis=1)
-    w32 = elements.reshape(SLM_HEIGHT, SLM_WIDTH * 4).view(np.uint32)[rows, cols]
+    w32 = elements.view(np.uint32)[:, :, 0][rows, cols]  # a strided out raises here
     w32[0::2] = up
     w32[1::2] = up
     if mode == "bilinear":

@@ -92,31 +92,42 @@ def encode_packet(packet: FramePacket) -> bytes:
 
 
 class PacketDecoder:
-    """Incremental packet reassembler; feed chunks in arrival order."""
+    """Incremental packet reassembler; feed chunks in arrival order. Each
+    payload is its own bytearray, which grows only as its bytes arrive, so a
+    header alone allocates nothing and each byte is copied once."""
 
     def __init__(self):
-        self._buf = bytearray()
+        # the packet in progress: its header bytes, its header once they are
+        # all in, and the payload bytes so far
+        self._head = bytearray()
+        self._header: PacketHeader | None = None
+        self._payload = bytearray()
 
     def feed(self, chunk: bytes) -> list[FramePacket]:
         """Absorb one chunk; return every packet completed by it."""
-        buf = self._buf
-        buf.extend(chunk)
         packets = []
-        start = 0
-        with memoryview(buf) as view:
-            while len(buf) - start >= HEADER_SIZE:
-                header = PacketHeader.unpack(buf[start : start + HEADER_SIZE])
-                end = start + HEADER_SIZE + header.payload_len
-                if len(buf) < end:
+        pos = 0
+        with memoryview(chunk) as view:
+            while True:
+                if self._header is None:
+                    take = HEADER_SIZE - len(self._head)
+                    self._head += view[pos : pos + take]
+                    pos += take
+                    if len(self._head) < HEADER_SIZE:
+                        break
+                    self._header = PacketHeader.unpack(self._head)
+                take = self._header.payload_len - len(self._payload)
+                self._payload += view[pos : pos + take]
+                pos += take
+                if len(self._payload) < self._header.payload_len:
                     break
-                packets.append(FramePacket(header, bytes(view[start + HEADER_SIZE : end])))
-                start = end
-        del buf[:start]
+                packets.append(FramePacket(self._header, self._payload))
+                self._head, self._header, self._payload = bytearray(), None, bytearray()
         return packets
 
     @property
     def pending_bytes(self) -> int:
-        return len(self._buf)
+        return len(self._head) + len(self._payload)
 
 
 # --- payload serializations ---

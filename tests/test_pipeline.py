@@ -10,7 +10,7 @@ import tracemalloc
 
 import pytest
 
-from threecpt import cli, codec, container, transport
+from threecpt import cli, codec, container, replay, transport
 from threecpt.errors import AdapterError, BitstreamError, ThreecptError, TransportError
 from threecpt.frames import StreamHeader
 from threecpt.relay import RelayServer
@@ -278,6 +278,67 @@ class TestEndToEnd:
             "frame_1.pgm",
             "frame_1.ppm",
         ]
+
+
+class TestReplayStage:
+    def clip(self, tmp_path, frames):
+        hdr, fs = container.gen_synthetic(640, 480, (30, 1), frames)
+        path = tmp_path / "clip.rgbz"
+        container.write_container(path, hdr, fs)
+        return path
+
+    def test_failed_validation_drops_the_held_buffer(self, server, tmp_path, monkeypatch):
+        prepare = replay.prepare_for_replay
+        filled = []  # each call's buffer
+
+        def dirty_first(*args, **kwargs):
+            buf = prepare(*args, **kwargs)
+            if not filled:
+                buf.elements[0, 0, 0] = 1  # outside the embed window
+            filled.append(buf.elements)
+            return buf
+
+        monkeypatch.setattr(replay, "prepare_for_replay", dirty_first)
+        path = self.clip(tmp_path, 4)
+        _, recv, _, _ = run_pipeline(server, path, channel=6, sender_kw={"fps": 0})
+        assert (recv.validation_failures, recv.replayed_frames) == (1, 3)
+        assert filled[1] is not filled[0]
+        assert filled[2] is filled[1] and filled[3] is filled[1]
+
+    def test_replay_failure_stops_the_reader(self, server, tmp_path, monkeypatch, capsys):
+        path = self.clip(tmp_path, 60)  # 2 s at the clip's 30 fps
+        regular = tmp_path / "regular"
+        regular.write_bytes(b"")
+        sink = replay.sink_consume
+        sunk = []  # when each sink call started
+
+        def timed_sink(*args, **kwargs):
+            sunk.append(time.monotonic())
+            return sink(*args, **kwargs)
+
+        monkeypatch.setattr(replay, "sink_consume", timed_sink)
+        before = set(threading.enumerate())
+        result = {}
+
+        def rx():
+            argv = ["--signal", f"{server.host}:{server.signal_port}", "--channel", "7"]
+            result["code"] = cli.recv_main(argv + ["--dump-dir", str(regular / "dump")])
+            result["end"] = time.monotonic()
+
+        t = threading.Thread(target=rx)
+        t.start()
+        sender_cfg = cli.SenderConfig(
+            source=str(path), signal_addr=(server.host, server.signal_port), channel_id=7
+        )
+        with pytest.raises(ThreecptError):  # the receiver hangs up mid-clip
+            cli.run_sender(sender_cfg)
+        t.join(timeout=30)
+        assert not t.is_alive(), "receiver did not finish"
+        assert result["code"] == cli.EXIT_USAGE
+        assert capsys.readouterr().err.startswith("cannot write output: ")
+        assert len(sunk) == 1
+        assert result["end"] - sunk[0] < 10 / 30  # a few frame intervals
+        assert wait_until(lambda: not new_threads(before))
 
 
 def recorded_reads(monkeypatch):

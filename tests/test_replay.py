@@ -79,6 +79,25 @@ class TestOracle:
         assert np.array_equal(buf.elements, reference_buffer(frame, mode))
 
 
+class TestHeldBuffer:
+    """A buffer passed back in as out is refilled to a fresh buffer's bytes."""
+
+    def test_refill_matches_fresh_across_modes(self):
+        frames = [make_frame(640, 480, seed=7), *sphere_frames()]
+        held = None
+        for frame, mode in zip(frames, ("nearest", "bilinear", "nearest")):
+            buf = prepare_for_replay(frame, R02, mode, out=held)
+            if held is not None:
+                assert buf.elements is held.elements
+            assert np.array_equal(buf.elements, prepare_for_replay(frame, R02, mode).elements)
+            held = buf
+
+    def test_non_contiguous_out_rejected(self):
+        strided = np.zeros((2048, 2048, 8), dtype=np.uint8)[:, :, ::2]
+        with pytest.raises(ValueError):
+            prepare_for_replay(make_frame(640, 480), R02, out=SlmBuffer(strided, R02))
+
+
 class TestDimensionAlgebra:
     def test_constants(self):
         assert (EMBED_X, EMBED_Y) == (384, 32)

@@ -1,6 +1,7 @@
 import socket
 import struct
 import threading
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -142,6 +143,40 @@ class TestFragmentation:
         for lo, hi in zip(bounds, bounds[1:]):
             out.extend(decoder.feed(wire[lo:hi]))
         assert out == self.packets()
+
+    @given(st.lists(st.binary(max_size=300), min_size=1, max_size=5), st.data())
+    @settings(max_examples=200)
+    def test_segmentation_matches_whole_packet_feeds(self, payloads, data):
+        wires = [
+            encode_packet(FramePacket(PacketHeader(PTYPE_ACCESS_UNIT, 0, 1, i, 0, len(p)), p))
+            for i, p in enumerate(payloads)
+        ]
+        # the last packet may be cut short, so some bytes stay pending
+        wires[-1] = wires[-1][: data.draw(st.integers(0, len(wires[-1])))]
+        whole = PacketDecoder()
+        expected = [p for w in wires for p in whole.feed(w)]
+        wire = b"".join(wires)
+        cuts = sorted(data.draw(st.lists(st.integers(0, len(wire)), max_size=12)))
+        bounds = [0] + cuts + [len(wire)]
+        decoder = PacketDecoder()
+        out = [p for lo, hi in zip(bounds, bounds[1:]) for p in decoder.feed(wire[lo:hi])]
+        assert out == expected
+        assert decoder.pending_bytes == whole.pending_bytes
+
+    def test_allocation_grows_with_the_bytes_fed(self):
+        # a header declaring the largest payload allocates nothing by itself
+        header = PacketHeader(PTYPE_ACCESS_UNIT, payload_len=MAX_PAYLOAD).pack()
+        body = bytes(1024)
+        decoder = PacketDecoder()
+        tracemalloc.start()
+        try:
+            assert decoder.feed(header) == []
+            assert decoder.feed(body) == []
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024 + len(header) + len(body)
+        assert decoder.pending_bytes == len(header) + len(body)
 
     def test_superframe_sized_packet_one_byte_chunks(self):
         # a full 640x480 access unit fragmented into single-byte chunks
