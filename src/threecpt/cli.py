@@ -6,7 +6,7 @@ integration tests can drive loopback pipelines in-process.
 Exit codes: 0 success, 2 source error or bad argument (rgbz-recv: also a
 --dump-dir or --latency-json it cannot write), 3 signaling error, 4
 relay/transport error (also a connection that fails mid-stream), 5 protocol
-desync, 6 validation-failure threshold exceeded.
+desync, 6 (rgbz-recv) a frame failed SLM buffer validation.
 """
 
 from __future__ import annotations
@@ -209,7 +209,6 @@ class ReceiverConfig:
     resample: str = "nearest"
     dump_dir: str | None = None  # write each replayed frame's planes here
     latency_json: str | None = None
-    max_validation_failures: int = 0
     frame_hook: object = None  # callable(RgbzFrame), for tests/embedding
 
 
@@ -397,7 +396,6 @@ def recv_main(argv=None) -> int:
     p.add_argument("--resample", choices=("nearest", "bilinear"), default="nearest")
     p.add_argument("--dump-dir", default=None, help="write each replayed frame's planes here")
     p.add_argument("--latency-json", default=None)
-    p.add_argument("--max-validation-failures", type=int, default=0)
     args = p.parse_args(argv)
     if (code := _codec_error(p, args.codec)) is not None:
         return code
@@ -408,7 +406,6 @@ def recv_main(argv=None) -> int:
         resample=args.resample,
         dump_dir=args.dump_dir,
         latency_json=args.latency_json,
-        max_validation_failures=args.max_validation_failures,
     )
     try:
         report, latency = run_receiver(cfg)
@@ -428,9 +425,7 @@ def recv_main(argv=None) -> int:
     if latency.count:
         out["latency"] = latency.summary()
     print(json.dumps(out))
-    if report.validation_failures > cfg.max_validation_failures:
-        return EXIT_VALIDATION
-    return EXIT_OK
+    return EXIT_VALIDATION if report.validation_failures else EXIT_OK
 
 
 def relay_main(argv=None) -> int:

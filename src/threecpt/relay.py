@@ -15,6 +15,11 @@ channel at once, before that release has run.
 A parked (not yet paired) attach whose client has gone is closed and its
 role freed when a register or attach next asks for that role.
 
+One service thread accepts on both listeners, one handler thread per
+connection, and every tick (``TICK_S``) drops unpaired channels older than
+the TTL. A failed accept (say, out of descriptors) waits one tick and the
+loop goes on: only ``stop()`` ends it.
+
 Wire surfaces:
 
 * Signaling (TCP, UTF-8 lines, one request per connection):
@@ -28,6 +33,7 @@ Wire surfaces:
 from __future__ import annotations
 
 import secrets
+import select
 import socket
 import struct
 import threading
@@ -45,6 +51,8 @@ _PREAMBLE = struct.Struct(">4sBQ16s")
 
 ACCEPTED = b"\x00"
 REJECTED = b"\xff"
+
+TICK_S = 0.2  # how often the service loop expires channels and checks for stop()
 
 
 def _quiet_close(sock: socket.socket):
@@ -120,7 +128,7 @@ class _Channel:
 
 
 class RelayServer:
-    """Runs the signaling and relay listeners on background threads."""
+    """Runs both listeners and channel expiry on one background thread."""
 
     def __init__(
         self,
@@ -136,39 +144,28 @@ class RelayServer:
         self._channels: dict[int, _Channel] = {}
         self._lock = threading.Lock()
         self._stop = threading.Event()
-        self._threads: list[threading.Thread] = []
+        self._thread = threading.Thread(target=self._serve, daemon=True)
 
-        self._signal_sock = self._listen(signal_port)
-        self._relay_sock = self._listen(relay_port)
+        listeners = []
+        try:
+            for port in (signal_port, relay_port):
+                listeners.append(socket.create_server((host, port), backlog=64))
+        except OSError as exc:  # create_server has closed the socket it failed to bind
+            for sock in listeners:
+                sock.close()
+            raise SignalingError(f"cannot bind {host}:{port}: {exc}") from exc
+        self._signal_sock, self._relay_sock = listeners
         self.signal_port = self._signal_sock.getsockname()[1]
         self.relay_port = self._relay_sock.getsockname()[1]
 
-    def _listen(self, port: int) -> socket.socket:
-        sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        try:
-            sock.bind((self.host, port))
-        except OSError as exc:
-            raise SignalingError(f"cannot bind {self.host}:{port}: {exc}") from exc
-        sock.listen(64)
-        sock.settimeout(0.2)
-        return sock
-
     def start(self):
-        for target, args in (
-            (self._serve, (self._signal_sock, self._handle_signaling)),
-            (self._serve, (self._relay_sock, self._handle_attach)),
-            (self._sweep_expired, ()),
-        ):
-            t = threading.Thread(target=target, args=args, daemon=True)
-            t.start()
-            self._threads.append(t)
+        self._thread.start()
         return self
 
     def stop(self):
         self._stop.set()
-        for t in self._threads:
-            t.join(timeout=2)
+        if self._thread.is_alive():
+            self._thread.join()
         with self._lock:
             for chan in self._channels.values():
                 for sock in chan.attached.values():
@@ -183,16 +180,35 @@ class RelayServer:
     def __exit__(self, *exc):
         self.stop()
 
-    def _serve(self, listener: socket.socket, handler):
-        """Accept on listener until stopped, one handler thread per connection."""
+    def _serve(self):
+        """Accept on both listeners and expire channels every tick, until stopped."""
+        handlers = {self._signal_sock: self._handle_signaling, self._relay_sock: self._handle_attach}
+        poller = select.poll()  # unlike epoll, it opens no descriptor of its own
+        for listener in handlers:
+            listener.setblocking(False)  # an accept racing a client reset must not block
+            poller.register(listener, select.POLLIN)
         while not self._stop.is_set():
-            try:
-                conn, _ = listener.accept()
-            except socket.timeout:
-                continue
-            except OSError:
-                return
-            threading.Thread(target=handler, args=(conn,), daemon=True).start()
+            poller.poll(TICK_S * 1000)
+            for listener, handler in handlers.items():
+                try:
+                    conn, _ = listener.accept()
+                except BlockingIOError:  # nothing to accept, or the client went first
+                    continue
+                except OSError:  # e.g. EMFILE; the connection waits in the backlog
+                    self._stop.wait(TICK_S)
+                    continue
+                threading.Thread(target=handler, args=(conn,), daemon=True).start()
+            self._expire()
+
+    def _expire(self):
+        """Drop unpaired channels older than the TTL, closing parked sockets."""
+        cutoff = time.monotonic() - self.ttl
+        with self._lock:
+            for cid, chan in list(self._channels.items()):
+                if len(chan.attached) < 2 and chan.created_at < cutoff:
+                    del self._channels[cid]
+                    for sock in chan.attached.values():
+                        _quiet_close(sock)
 
     # --- signaling ---
 
@@ -202,7 +218,7 @@ class RelayServer:
             try:
                 line = _read_line(conn)
                 reply = self._signaling_reply(line)
-            except (OSError, ValueError) as exc:
+            except (OSError, SignalingError) as exc:
                 reply = f"ERR malformed {exc}\n"
             try:
                 conn.sendall(reply.encode())
@@ -294,22 +310,6 @@ class RelayServer:
             if self._channels.get(channel_id) is chan:
                 del self._channels[channel_id]
 
-    # --- expiry ---
-
-    def _sweep_expired(self):
-        while not self._stop.wait(min(1.0, self.ttl / 4)):
-            now = time.monotonic()
-            with self._lock:
-                expired = [
-                    cid
-                    for cid, chan in self._channels.items()
-                    if len(chan.attached) < 2 and now - chan.created_at > self.ttl
-                ]
-                for cid in expired:
-                    chan = self._channels.pop(cid)
-                    for sock in chan.attached.values():
-                        _quiet_close(sock)
-
 
 # --- client side ---
 
@@ -376,7 +376,7 @@ def _read_line(conn: socket.socket, limit: int = 1024) -> str:
     buf = bytearray()
     while not buf.endswith(b"\n"):
         if len(buf) > limit:
-            raise ValueError("line too long")
+            raise SignalingError(f"signaling line longer than {limit} bytes")
         chunk = conn.recv(1)
         if not chunk:
             break

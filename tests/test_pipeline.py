@@ -340,6 +340,35 @@ class TestReplayStage:
         assert result["end"] - sunk[0] < 10 / 30  # a few frame intervals
         assert wait_until(lambda: not new_threads(before))
 
+    def test_failed_validation_exits_6(self, server, tmp_path, monkeypatch, capsys):
+        prepare = replay.prepare_for_replay
+        calls = []
+
+        def dirty_first(*args, **kwargs):
+            buf = prepare(*args, **kwargs)
+            if not calls:
+                buf.elements[0, 0, 0] = 1  # outside the embed window
+            calls.append(buf)
+            return buf
+
+        monkeypatch.setattr(replay, "prepare_for_replay", dirty_first)
+        path = self.clip(tmp_path, 3)
+        addr = (server.host, server.signal_port)
+        result = {}
+
+        def rx():
+            result["code"] = cli.recv_main(["--signal", f"{addr[0]}:{addr[1]}", "--channel", "8"])
+
+        t = threading.Thread(target=rx)
+        t.start()
+        cli.run_sender(cli.SenderConfig(source=str(path), signal_addr=addr, channel_id=8, fps=0))
+        t.join(timeout=30)
+        assert result["code"] == cli.EXIT_VALIDATION
+        out, err = capsys.readouterr()
+        report = json.loads(out)
+        assert (report["validation_failures"], report["replayed_frames"]) == (1, 2)
+        assert err.startswith("frame validation failed: ") and err.count("\n") == 1
+
 
 def recorded_reads(monkeypatch):
     """The frame readers that run_sender gets from read_container."""
@@ -490,6 +519,20 @@ class TestCliMains:
             code = cli.recv_main(args)
         t.join(timeout=5)
         assert code == cli.EXIT_TRANSPORT
+
+    @pytest.mark.parametrize("role", ["send", "recv"])
+    def test_overlong_signaling_reply_is_signaling_error(self, role, tmp_path, capsys):
+        (host, port), t = fake_signaling(b"x" * 2000)  # no newline within 1024 bytes
+        args = ["--signal", f"{host}:{port}", "--channel", "9"]
+        if role == "send":
+            path, _ = write_stream(tmp_path, frames=1)
+            code = cli.send_main(["--input", str(path), *args])
+        else:
+            code = cli.recv_main(args)
+        t.join(timeout=5)
+        assert code == cli.EXIT_SIGNALING
+        err = capsys.readouterr().err
+        assert err.startswith("signaling error: ") and err.count("\n") == 1
 
     @pytest.mark.parametrize("role", ["send", "recv"])
     @pytest.mark.parametrize("value", ["bogus", "external", "external:", "external: ", "h264:x"])
