@@ -12,9 +12,12 @@ desync, 6 (rgbz-recv) a frame failed SLM buffer validation.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import math
 import queue
 import shlex
+import socket
 import sys
 import threading
 import time
@@ -25,12 +28,12 @@ from .errors import (
     AdapterError,
     ContainerError,
     DesyncError,
+    RangeError,
     SignalingError,
     ThreecptError,
-    TranscoderError,
     ValidationError,
 )
-from .frames import StreamHeader, suppress_background
+from .frames import StreamHeader, check_cutoff, suppress_background
 from .latency import LatencyReport
 from .superframe import pack_superframe, superframe_byte_size, unpack_superframe
 
@@ -52,10 +55,44 @@ def _wall_us() -> int:
     return time.time_ns() // 1000
 
 
-def _drain(q: queue.Queue) -> None:
-    """Discard queued items up to the end-of-work marker (None)."""
-    while q.get() is not None:
-        pass
+def _ahead(items, depth: int = PIPELINE_QUEUE_FRAMES):
+    """Yield what the generator items yields, running it on one background
+    thread at most depth items ahead of the caller.
+
+    An exception from items is raised here, after the items before it.
+    Closing this generator stops items at its next item, closes it on its
+    own thread and joins that thread.
+    """
+    handoff: queue.Queue = queue.Queue(maxsize=depth)
+    stop = threading.Event()
+    end = object()
+    failed = []
+
+    def produce():
+        try:
+            with contextlib.closing(items):
+                for item in items:
+                    handoff.put(item)
+                    if stop.is_set():
+                        break
+        except Exception as exc:
+            failed.append(exc)
+        finally:
+            handoff.put(end)
+
+    worker = threading.Thread(target=produce, daemon=True)
+    worker.start()
+    item = None
+    try:
+        while (item := handoff.get()) is not end:
+            yield item
+    finally:
+        stop.set()
+        while item is not end:  # unblock a producer waiting on a full queue
+            item = handoff.get()
+        worker.join()
+    if failed:
+        raise failed[0]
 
 
 def parse_codec(value: str) -> str | None:
@@ -70,16 +107,6 @@ def parse_codec(value: str) -> str | None:
     if not shlex.split(command):
         raise ValueError(f"codec {value!r} has an empty command")
     return command
-
-
-def _close_session(session, errors: list) -> None:
-    """Reap an external session, if any, recording a failure in errors."""
-    if session is None:
-        return
-    try:
-        session.close()
-    except TranscoderError as exc:
-        errors.append(exc)
 
 
 @dataclass
@@ -105,73 +132,47 @@ class SenderReport:
         return self.__dict__.copy()
 
 
+def _encoded(cfg: SenderConfig, command, hdr: StreamHeader, frames, report: SenderReport):
+    """Suppress, pack and encode each frame of the clip, yielding one list of
+    units per frame (an external encoder may have output nothing yet, or
+    several frames at once), then the external encoder's flush."""
+    session = None if command is None else codec.ExternalSession(hdr, command)
+    with session or contextlib.nullcontext():
+        for frame in frames:
+            if cfg.suppress_cutoff is not None:
+                frame = suppress_background(frame, cfg.suppress_cutoff, hdr.range)
+            sf = pack_superframe(frame)
+            report.frames_sent += 1
+            if session is None:
+                yield [codec.ref_encode(sf)]
+            else:
+                session.send_frame(sf)
+                yield session.units()
+        if session is not None:
+            session.close_input()
+            yield session.units(wait=True)
+
+
 def run_sender(cfg: SenderConfig) -> SenderReport:
     """File source -> pack -> encode -> relay. Raises on setup failures;
     the CLI wrapper maps exception types to exit codes."""
     command = parse_codec(cfg.codec)
     hdr, frames = container.read_container(cfg.source)
-    with frames:  # the clip is closed on every exit path, after the encode stage ends
-        return _stream_clip(cfg, command, hdr, frames)
-
-
-def _stream_clip(cfg: SenderConfig, command, hdr: StreamHeader, frames) -> SenderReport:
     fps = hdr.fps if cfg.fps is None else cfg.fps
     interval = 0.0 if fps == 0 else 1.0 / fps
+    report = SenderReport()
+    report.superframe_bytes_per_frame = superframe_byte_size(hdr.width, hdr.height)
+    start = time.monotonic()
 
-    grant = relay.register_channel(cfg.signal_addr, "sender", cfg.channel_id)
-    conn = relay.attach(grant, "sender")
-    report = SenderReport(
-        superframe_bytes_per_frame=superframe_byte_size(hdr.width, hdr.height)
-    )
-
-    # encode stage feeds a bounded queue, one list of units per frame (an
-    # external encoder may have output nothing yet, or several frames at
-    # once), so the stage runs at most PIPELINE_QUEUE_FRAMES frames ahead;
-    # the socket writer paces frames and sends their units
-    work: queue.Queue = queue.Queue(maxsize=PIPELINE_QUEUE_FRAMES)
-    encode_error = []
-    stop = threading.Event()  # set when the writer fails
-
-    def encode_stage():
-        session = None
-        try:
-            if command is not None:
-                session = codec.ExternalSession(hdr, command)
-            for frame in frames:
-                if stop.is_set():
-                    break
-                if cfg.suppress_cutoff is not None:
-                    frame = suppress_background(frame, cfg.suppress_cutoff, hdr.range)
-                sf = pack_superframe(frame)
-                if session is None:
-                    work.put([codec.ref_encode(sf)])
-                else:
-                    session.send_frame(sf)
-                    work.put(session.units())
-                report.frames_sent += 1
-            if session is not None:
-                session.close_input()
-                work.put(session.units(wait=True))
-        except Exception as exc:  # surfaced by the writer side
-            encode_error.append(exc)
-        finally:
-            _close_session(session, encode_error)
-            work.put(None)
-
-    encoder = threading.Thread(target=encode_stage, daemon=True)
-    encoder.start()
-
-    clock = {"start": time.monotonic()}
-    ended = []  # the writer took the end-of-work marker
-
-    def paced_units():
-        for i, units in enumerate(iter(work.get, None)):
+    def paced(batches):
+        nonlocal start
+        for i, units in enumerate(batches):
             if i == 0:
                 # pacing clock starts when the first frame is ready to send,
                 # so cold-start encoding cost doesn't count as lateness
-                clock["start"] = time.monotonic()
+                start = time.monotonic()
             if interval:
-                deadline = clock["start"] + i * interval
+                deadline = start + i * interval
                 now = time.monotonic()
                 if now < deadline:
                     time.sleep(deadline - now)
@@ -179,25 +180,24 @@ def _stream_clip(cfg: SenderConfig, command, hdr: StreamHeader, frames) -> Sende
                     report.late_frames += 1
             for au in units:
                 yield au, _wall_us()
-        ended.append(True)
-        if encode_error:
-            # raising here ends the stream without END_OF_STREAM, so the
-            # receiver reports it truncated
-            raise encode_error[0]
 
-    try:
-        send = transport.send_stream(conn, hdr, paced_units(), channel_id=cfg.channel_id)
-    except BaseException:
-        stop.set()
-        if not ended:
-            _drain(work)  # unblock the encode stage so it can stop and reap
-        raise
-    finally:
-        encoder.join()
-        conn.close()
+    with frames:  # the clip is closed on every exit path, after the encode stage ends
+        if cfg.suppress_cutoff is not None:
+            check_cutoff(cfg.suppress_cutoff, hdr.range)  # before the channel exists
+        grant = relay.register_channel(cfg.signal_addr, "sender", cfg.channel_id)
+        conn = relay.attach(grant, "sender")
+        # the encode stage runs ahead of the socket writer, which paces frames
+        # and sends their units; an encode error raised through send_stream ends
+        # the stream without END_OF_STREAM, so the receiver reports it truncated
+        batches = _ahead(_encoded(cfg, command, hdr, frames, report))
+        try:
+            send = transport.send_stream(conn, hdr, paced(batches), channel_id=cfg.channel_id)
+        finally:
+            batches.close()
+            conn.close()
     report.packets_sent = send.packets_sent
     report.bytes_sent = send.bytes_sent
-    report.wall_time_s = time.monotonic() - clock["start"]
+    report.wall_time_s = time.monotonic() - start
     return report
 
 
@@ -225,6 +225,43 @@ class ReceiverReport:
         return self.__dict__.copy()
 
 
+def _decoded(cfg: ReceiverConfig, command, receiver, report: ReceiverReport, latency):
+    """Read each unit off the socket, decode it and unpack its frames,
+    taking one latency sample per frame; then the external decoder's flush."""
+    hdr = receiver.header
+
+    def unpacked(sf):
+        frame = unpack_superframe(sf, hdr)
+        report.frames_received += 1
+        if cfg.frame_hook is not None:
+            cfg.frame_hook(frame)
+        return frame
+
+    with contextlib.ExitStack() as child:
+        external = None
+        for packet_header, au in receiver.units():
+            recv_us = _wall_us()  # the unit has left the socket reader, undecoded
+            if au.codec_id is codec.CodecId.REF_LOSSLESS:
+                sfs = [codec.ref_decode(au, hdr)]
+            else:
+                if external is None:
+                    if command is None:
+                        raise AdapterError(
+                            f"stream carries {au.codec_id.name} units, "
+                            f"receiver codec is {cfg.codec!r}"
+                        )
+                    external = child.enter_context(codec.ExternalSession(hdr, command))
+                external.send_bytes(au.payload)
+                sfs = external.frames()
+            for sf in sfs:
+                latency.add(recv_us, packet_header.timestamp_us)
+                yield unpacked(sf)
+        if external is not None:
+            external.close_input()
+            for sf in external.frames(wait=True):
+                yield unpacked(sf)
+
+
 def run_receiver(cfg: ReceiverConfig) -> tuple[ReceiverReport, LatencyReport]:
     """Relay -> decode -> unpack -> replay prep -> sink, with latency samples."""
     command = parse_codec(cfg.codec)
@@ -233,18 +270,16 @@ def run_receiver(cfg: ReceiverConfig) -> tuple[ReceiverReport, LatencyReport]:
     report = ReceiverReport()
     latency = LatencyReport()
 
-    # the socket reader decodes and unpacks each unit and hands the frame to
-    # the replay stage through a bounded queue; replay is the slower of the
-    # two, so one hand-off keeps both busy; a decode error stops the reader
-    # at once, and a replay error before the next unit
-    decoded: queue.Queue = queue.Queue(maxsize=PIPELINE_QUEUE_FRAMES)
-    errors = []
-
-    def replay_stage(hdr: StreamHeader):
+    # the socket reader decodes and unpacks ahead of replay, which runs here
+    # and is the slower of the two, so one hand-off keeps both busy
+    with conn:
+        receiver = transport.recv_stream(conn)
+        hdr = receiver.header
         replayable = (hdr.width, hdr.height) == (replay.SOURCE_WIDTH, replay.SOURCE_HEIGHT)
         buf = None  # one SLM buffer, refilled frame after frame
+        frames = _ahead(_decoded(cfg, command, receiver, report, latency))
         try:
-            for frame in iter(decoded.get, None):
+            for frame in frames:
                 if not replayable:
                     continue
                 try:
@@ -255,54 +290,11 @@ def run_receiver(cfg: ReceiverConfig) -> tuple[ReceiverReport, LatencyReport]:
                     buf = None  # a buffer that failed validation is not refilled
                     report.validation_failures += 1
                     print(f"frame validation failed: {exc}", file=sys.stderr)
-        except Exception as exc:
-            errors.append(exc)
-            _drain(decoded)  # keep the reader from blocking on a full queue
-
-    with conn:
-        receiver = transport.recv_stream(conn)
-        hdr = receiver.header
-        replayer = threading.Thread(target=replay_stage, args=(hdr,), daemon=True)
-        replayer.start()
-        external = None
-
-        def emit(sf):
-            frame = unpack_superframe(sf, hdr)
-            report.frames_received += 1
-            if cfg.frame_hook is not None:
-                cfg.frame_hook(frame)
-            decoded.put(frame)
-
-        try:
-            for packet_header, au in receiver.units():
-                if errors:
-                    raise errors[0]  # the replay stage failed: stop reading
-                recv_us = _wall_us()
-                if au.codec_id is codec.CodecId.REF_LOSSLESS:
-                    sfs = [codec.ref_decode(au, hdr)]
-                else:
-                    if external is None:
-                        if command is None:
-                            raise AdapterError(
-                                f"stream carries {au.codec_id.name} units, "
-                                f"receiver codec is {cfg.codec!r}"
-                            )
-                        external = codec.ExternalSession(hdr, command)
-                    external.send_bytes(au.payload)
-                    sfs = external.frames()
-                for sf in sfs:
-                    latency.add(recv_us, packet_header.timestamp_us)
-                    emit(sf)
-            if external is not None:
-                external.close_input()
-                for sf in external.frames(wait=True):
-                    emit(sf)
         finally:
-            _close_session(external, errors)
-            decoded.put(None)
-            replayer.join()
-    if errors:
-        raise errors[0]
+            # wakes a reader still waiting on a peer that holds the stream open
+            with contextlib.suppress(OSError):
+                conn.shutdown(socket.SHUT_RDWR)
+            frames.close()
     report.gap_count = receiver.report.gap_count
     report.payload_bytes = receiver.report.payload_bytes
     report.truncated = receiver.report.truncated
@@ -317,6 +309,14 @@ def run_receiver(cfg: ReceiverConfig) -> tuple[ReceiverReport, LatencyReport]:
 def _addr(text: str) -> tuple:
     host, _, port = text.rpartition(":")
     return host or "127.0.0.1", int(port)
+
+
+def _fps(text: str) -> float:
+    """An --fps value: positive and finite (--as-fast-as-possible turns pacing off)."""
+    fps = float(text)
+    if not (math.isfinite(fps) and fps > 0):
+        raise argparse.ArgumentTypeError(f"must be positive and finite, got {text!r}")
+    return fps
 
 
 def _codec_error(p: argparse.ArgumentParser, value: str) -> int | None:
@@ -359,7 +359,7 @@ def send_main(argv=None) -> int:
     p.add_argument("--signal", type=_addr, required=True, help="signaling host:port")
     p.add_argument("--channel", type=int, required=True)
     p.add_argument("--codec", default="ref", help="ref | external:<command>")
-    p.add_argument("--fps", type=float, default=None, help="override container fps")
+    p.add_argument("--fps", type=_fps, default=None, help="override container fps")
     p.add_argument("--as-fast-as-possible", action="store_true")
     p.add_argument("--suppress-background", type=float, default=None, metavar="DIOPTERS")
     args = p.parse_args(argv)
@@ -381,6 +381,9 @@ def send_main(argv=None) -> int:
     except SignalingError as exc:
         print(f"signaling error: {exc}", file=sys.stderr)
         return EXIT_SIGNALING
+    except RangeError as exc:
+        print(f"{p.prog}: error: argument --suppress-background: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except ThreecptError as exc:
         print(f"transport error: {exc}", file=sys.stderr)
         return EXIT_TRANSPORT

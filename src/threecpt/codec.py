@@ -366,6 +366,17 @@ class ExternalSession:
 
     # --- lifecycle ---
 
+    def __enter__(self) -> "ExternalSession":
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        """Reap the child; its failure is raised only if the block raised nothing."""
+        try:
+            self.close()
+        except TranscoderError:
+            if exc_type is None:
+                raise
+
     def close(self) -> FlushReport:
         """Close input, discard unread output and reap the child; raises
         TranscoderError if the child exits nonzero. Idempotent."""

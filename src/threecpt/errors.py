@@ -13,6 +13,10 @@ class FormatError(ThreecptError):
     """A serialized structure violates its layout contract."""
 
 
+class RangeError(ThreecptError, ValueError):
+    """A parameter lies outside the range the data it applies to spans."""
+
+
 class UnfillableError(ThreecptError):
     """A depth map has no valid pixels to fill from."""
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DimensionError, UnfillableError
+from .errors import DimensionError, RangeError, UnfillableError
 
 
 class Orientation(enum.Enum):
@@ -261,6 +261,15 @@ def apply_orientation(frame: RgbzFrame, orientation: Orientation) -> RgbzFrame:
     return replace(frame, color=color, depth=depth)
 
 
+def check_cutoff(cutoff_diopters: float, rng: DisparityRange) -> None:
+    """Raise RangeError (a ValueError) unless the cutoff lies in rng."""
+    if not (rng.min_diopters <= cutoff_diopters <= rng.max_diopters):
+        raise RangeError(
+            f"cutoff {cutoff_diopters} outside range "
+            f"[{rng.min_diopters}, {rng.max_diopters}]"
+        )
+
+
 def suppress_background(
     frame: RgbzFrame, cutoff_diopters: float, rng: DisparityRange
 ) -> RgbzFrame:
@@ -270,11 +279,7 @@ def suppress_background(
     away), and pixels already at code 0, get color (0, 0, 0, 0) and depth
     code 0. Everything else is untouched.
     """
-    if not (rng.min_diopters <= cutoff_diopters <= rng.max_diopters):
-        raise ValueError(
-            f"cutoff {cutoff_diopters} outside range "
-            f"[{rng.min_diopters}, {rng.max_diopters}]"
-        )
+    check_cutoff(cutoff_diopters, rng)
     # dequantized disparity never falls as the code rises, so the far codes
     # are exactly those below the count of codes that dequantize below the
     # cutoff; code 0 is far whatever the cutoff

@@ -214,6 +214,20 @@ class TestExternalSession:
         assert session.frames(wait=True) == [sf]
         session.close()
 
+    FAILS_ON_EXIT = "sh -c 'cat >/dev/null; exit 3'"
+
+    def test_with_block_error_wins_over_the_exit_failure(self):
+        with pytest.raises(AdapterError, match="inside the block"):
+            with ExternalSession(self.HDR, self.FAILS_ON_EXIT) as session:
+                raise AdapterError("inside the block")
+        assert session.child.returncode == 3
+
+    def test_with_block_raises_the_exit_failure_on_a_clean_exit(self):
+        with pytest.raises(TranscoderError, match="exited 3"):
+            with ExternalSession(self.HDR, self.FAILS_ON_EXIT) as session:
+                session.send_frame(random_superframe(8, 6, seed=1))
+        assert session.child.returncode == 3
+
     def test_nonexistent_command_spawn_error(self):
         with pytest.raises(TranscoderError):
             ExternalSession(self.HDR, "/nonexistent/transcoder-binary")

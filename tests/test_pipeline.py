@@ -1,9 +1,11 @@
 """Loopback integration tests for the sender/receiver endpoints."""
 
+import itertools
 import json
 import shutil
 import socket
 import struct
+import sys
 import threading
 import time
 import tracemalloc
@@ -228,7 +230,7 @@ class TestEndToEnd:
         cfg = cli.ReceiverConfig(signal_addr=addr, channel_id=9, frame_hook=hook)
         report, _ = cli.run_receiver(cfg)
         assert report.frames_received == 5
-        assert [len(threads) for threads in alive] == [1] * 5  # the replay stage
+        assert [len(threads) for threads in alive] == [1] * 5  # the socket reader
         for t in peers:
             t.join(timeout=5)
         assert wait_until(lambda: not new_threads(before))
@@ -338,6 +340,37 @@ class TestReplayStage:
         assert capsys.readouterr().err.startswith("cannot write output: ")
         assert len(sunk) == 1
         assert result["end"] - sunk[0] < 10 / 30  # a few frame intervals
+        assert wait_until(lambda: not new_threads(before))
+
+    def test_replay_failure_wakes_a_reader_held_by_a_stalled_peer(self, tmp_path, capsys):
+        hdr, frames = container.gen_synthetic(640, 480, (30, 1), 1)
+        au = codec.ref_encode(pack_superframe(frames[0]))
+        regular = tmp_path / "regular"
+        regular.write_bytes(b"")
+
+        def hold_open(conn):
+            conn.sendall(
+                wire_packet(transport.PTYPE_STREAM_HEADER, transport.serialize_stream_header(hdr))
+                + wire_packet(transport.PTYPE_ACCESS_UNIT, transport.serialize_access_unit(au))
+            )
+            # neither end the stream nor close: hold it for 10 s or until the receiver closes
+            conn.settimeout(10)
+            try:
+                conn.recv(1)
+            except OSError:
+                pass
+
+        before = set(threading.enumerate())
+        grant, relay_t = fake_relay(hold_open)
+        (host, port), signal_t = fake_signaling(grant)
+        start = time.monotonic()
+        argv = ["--signal", f"{host}:{port}", "--channel", "9", "--dump-dir", str(regular / "d")]
+        code = cli.recv_main(argv)
+        assert time.monotonic() - start < 1.0
+        assert code == cli.EXIT_USAGE
+        assert capsys.readouterr().err.startswith("cannot write output: ")
+        for t in (relay_t, signal_t):
+            t.join(timeout=5)
         assert wait_until(lambda: not new_threads(before))
 
     def test_failed_validation_exits_6(self, server, tmp_path, monkeypatch, capsys):
@@ -550,6 +583,26 @@ class TestCliMains:
         assert "argument --codec" in err
         assert "Traceback" not in err
 
+    def test_cutoff_outside_the_clips_range_is_usage_error(self, tmp_path, capsys):
+        path, _ = write_stream(tmp_path, frames=1)  # disparity range [0, 2]
+        # the signaling port is closed: reaching it would exit 3, not 2
+        args = ["--signal", f"127.0.0.1:{closed_port()}", "--channel", "9"]
+        code = cli.send_main(["--input", str(path), *args, "--suppress-background", "9"])
+        assert code == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("rgbz-send: error: argument --suppress-background: ")
+        assert err.count("\n") == 1 and "outside range [0.0, 2.0]" in err
+
+    @pytest.mark.parametrize("value", ["-5", "0", "nan", "inf"])
+    def test_fps_not_positive_and_finite_is_usage_error(self, value, tmp_path, capsys):
+        path, _ = write_stream(tmp_path, frames=1)
+        args = ["--signal", f"127.0.0.1:{closed_port()}", "--channel", "9"]
+        with pytest.raises(SystemExit) as exc:
+            cli.send_main(["--input", str(path), *args, "--fps", value])
+        assert exc.value.code == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("usage: rgbz-send") and "argument --fps" in err
+
     @pytest.mark.parametrize("value", ["ref", "external:cat", "external:sh -c 'cat'"])
     def test_parse_codec(self, value):
         command = cli.parse_codec(value)
@@ -673,3 +726,94 @@ class TestCliMains:
         assert code == 0 and result["code"] == 0
         obj = json.loads(lat_json.read_text())
         assert len(obj["samples_us"]) == 4
+
+
+class TestAhead:
+    """cli._ahead, the one hand-off between an endpoint's two stages."""
+
+    def test_items_arrive_in_order_at_most_depth_plus_one_ahead(self):
+        before = set(threading.enumerate())
+        made = []
+
+        def count():
+            for i in range(20):
+                made.append(i)
+                yield i
+
+        got = []
+        for item in cli._ahead(count(), depth=3):
+            got.append(item)
+            if item == 0:
+                # the producer fills the queue and blocks with one more in hand
+                assert wait_until(lambda: len(made) == 1 + 3 + 1)
+                time.sleep(0.05)
+            assert len(made) - len(got) <= 3 + 1
+        assert got == list(range(20))
+        assert not new_threads(before)
+
+    def test_an_error_arrives_after_the_items_before_it(self):
+        before = set(threading.enumerate())
+
+        def failing():
+            yield 1
+            yield 2
+            raise BitstreamError("bad unit")
+
+        got = []
+        with pytest.raises(BitstreamError, match="bad unit"):
+            for item in cli._ahead(failing()):
+                got.append(item)
+        assert got == [1, 2]
+        assert not new_threads(before)
+
+    @pytest.mark.parametrize("taken", [0, 1, 5])
+    def test_closing_early_closes_the_generator_on_its_own_thread(self, taken):
+        before = set(threading.enumerate())
+        made = []
+        closed_on = []
+
+        def endless():
+            try:
+                while True:
+                    made.append(len(made))
+                    yield made[-1]
+            finally:
+                closed_on.append(threading.current_thread())
+
+        ahead = cli._ahead(endless(), depth=2)
+        assert [next(ahead) for _ in range(taken + 1)] == list(range(taken + 1))
+        ahead.close()
+        assert len(closed_on) == 1 and closed_on[0] is not threading.current_thread()
+        assert len(made) <= taken + 1 + 2 + 1  # stopped at its next item
+        assert not new_threads(before)
+
+    def test_many_pipelines_at_a_short_switch_interval(self):
+        before = set(threading.enumerate())
+        closed = []
+        got = {}
+
+        def numbers():
+            try:
+                yield from range(300)
+            finally:
+                closed.append(True)
+
+        def consume(taken):
+            ahead = cli._ahead(numbers(), depth=2)
+            got[taken] = list(itertools.islice(ahead, taken))
+            ahead.close()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            consumers = [threading.Thread(target=consume, args=(n,)) for n in (1, 2, 150, 299, 300)]
+            for t in consumers:
+                t.start()
+            for t in consumers:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in consumers)
+        assert got == {n: list(range(n)) for n in (1, 2, 150, 299, 300)}
+        assert len(closed) == 5
+        assert not new_threads(before)
