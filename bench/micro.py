@@ -1,22 +1,31 @@
 """Per-stage microbenchmark of the pipeline stages at 640x480.
 
-Times pack, ref_encode, frame (serialize_access_unit and encode_packet of
-the REF unit), reassemble (PacketDecoder.feed of that packet in 64 KiB
-chunks and deserialize_access_unit), ref_decode, unpack, prepare_for_replay
-(prepare_nearest and prepare_bilinear into a fresh buffer each call,
-prepare_nearest_held into one buffer held across calls, as the receiver's
-replay thread does) and sink_consume on two frames: one orbiting-sphere
-frame with its background suppressed (the sphere-30fps content) and one
-frame of uniform noise (the noise-max content). For the sphere it also
-times the two sender stages ahead of pack: suppress (suppress_background of
-the unsuppressed frame at the workload's cutoff) and read_frame (the next
-frame of a clip of that frame on disk, written just before, so read from
-the page cache as the benchmark's sender reads its freshly written clip).
+Times pack, ref_encode (fresh work memory each call), ref_encode_held
+(work memory held across calls, as the sender holds it for a stream),
+frame (send_stream of the REF unit, between its stream header and end of
+stream, into a socket stand-in that discards what it is sent: the framing
+the sender performs), reassemble (PacketDecoder.feed of that unit's packet
+in 64 KiB chunks and deserialize_access_unit), ref_decode, unpack,
+prepare_for_replay (prepare_nearest and prepare_bilinear into a fresh
+buffer each call, prepare_nearest_held into one buffer held across calls,
+as the receiver's replay thread does) and sink_consume on two frames: one
+orbiting-sphere frame with its background suppressed (the sphere-30fps
+content) and one frame of uniform noise (the noise-max content). For the
+sphere it also times the two sender stages ahead of pack: suppress
+(suppress_background of the unsuppressed frame at the workload's cutoff)
+and read_frame (the next frame of a clip of that frame on disk, written
+just before, so read from the page cache as the benchmark's sender reads
+its freshly written clip).
 Each figure is the median, with the quartiles, of --calls timed calls after
---warmup untimed ones, in ms. The threecpt imported is the one in the src/
-next to this script. Prints one JSON object that also records each frame's
-REF unit size in bytes beside its superframe size, the core count and the
-Python and numpy versions.
+--warmup untimed ones, in ms, with the minor page faults per call beside it
+(minflt: the process's ru_minflt change over the timed calls). The faults
+depend on what the process freed before: once a block of some size has
+been freed, glibc serves blocks up to that size from memory it keeps, so
+after this script's 16 MiB buffers they read near 0 where a fresh sender
+process faults. The threecpt imported is the one in the src/ next to this
+script. Prints one JSON object that also records each frame's REF unit
+size in bytes beside its superframe size, the core count and the Python
+and numpy versions.
 
     python bench/micro.py [--calls 40] [--warmup 5]
 """
@@ -27,11 +36,13 @@ import argparse
 import json
 import os
 import platform
+import resource
 import sys
 import tempfile
 import time
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -84,15 +95,11 @@ def stages(hdr: StreamHeader, frame: RgbzFrame) -> dict:
     """Each stage as a no-argument call on the output of the stage before."""
     sf = pack_superframe(frame)
     au = codec.ref_encode(sf)
-
-    def frame_unit():
-        payload = transport.serialize_access_unit(au)
-        header = transport.PacketHeader(
-            transport.PTYPE_ACCESS_UNIT, au.flags, payload_len=len(payload)
-        )
-        return transport.encode_packet(transport.FramePacket(header, payload))
-
-    wire = frame_unit()
+    work = codec.ref_work(hdr.width, hdr.height)
+    discard = SimpleNamespace(sendall=lambda data: None)
+    packets = []
+    transport.send_stream(SimpleNamespace(sendall=packets.append), hdr, [(au, 0)])
+    wire = packets[1]  # between the stream header and the end of stream
     chunks = [wire[i : i + CHUNK] for i in range(0, len(wire), CHUNK)]
 
     def reassemble():
@@ -105,7 +112,8 @@ def stages(hdr: StreamHeader, frame: RgbzFrame) -> dict:
     return {
         "pack": lambda: pack_superframe(frame),
         "ref_encode": lambda: codec.ref_encode(sf),
-        "frame": frame_unit,
+        "ref_encode_held": lambda: codec.ref_encode(sf, work),
+        "frame": lambda: transport.send_stream(discard, hdr, [(au, 0)]),
         "reassemble": reassemble,
         "ref_decode": lambda: codec.ref_decode(au, hdr),
         "unpack": lambda: unpack_superframe(sf, hdr),
@@ -122,12 +130,19 @@ def time_call(fn, calls: int, warmup: int) -> dict:
     for _ in range(warmup):
         fn()
     times = []
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     for _ in range(calls):
         start = time.perf_counter()
         fn()
         times.append(1e3 * (time.perf_counter() - start))
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
     q1, median, q3 = np.percentile(times, [25, 50, 75])
-    return {"median": round(median, 3), "q1": round(q1, 3), "q3": round(q3, 3)}
+    return {
+        "median": round(median, 3),
+        "q1": round(q1, 3),
+        "q3": round(q3, 3),
+        "minflt": round(faults / calls, 1),
+    }
 
 
 def main(argv=None) -> int:

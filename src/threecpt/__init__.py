@@ -31,6 +31,7 @@ from .codec import (
     ExternalSession,
     ref_decode,
     ref_encode,
+    ref_work,
 )
 from .transport import (
     FramePacket,

@@ -135,8 +135,10 @@ class SenderReport:
 def _encoded(cfg: SenderConfig, command, hdr: StreamHeader, frames, report: SenderReport):
     """Suppress, pack and encode each frame of the clip, yielding one list of
     units per frame (an external encoder may have output nothing yet, or
-    several frames at once), then the external encoder's flush."""
+    several frames at once), then the external encoder's flush. The
+    reference encoder works in memory held for the whole stream."""
     session = None if command is None else codec.ExternalSession(hdr, command)
+    work = codec.ref_work(hdr.width, hdr.height) if session is None else None
     with session or contextlib.nullcontext():
         for frame in frames:
             if cfg.suppress_cutoff is not None:
@@ -144,7 +146,7 @@ def _encoded(cfg: SenderConfig, command, hdr: StreamHeader, frames, report: Send
             sf = pack_superframe(frame)
             report.frames_sent += 1
             if session is None:
-                yield [codec.ref_encode(sf)]
+                yield [codec.ref_encode(sf, work)]
             else:
                 session.send_frame(sf)
                 yield session.units()

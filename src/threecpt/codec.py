@@ -81,50 +81,74 @@ class EncodedAccessUnit:
         return bool(self.flags & FLAG_KEYFRAME)
 
 
-def _row_residuals(data: np.ndarray) -> np.ndarray:
-    # left predictor per channel, modulo 256 (uint8 subtraction wraps); the
-    # zero column in front keeps each row's leftmost pixel verbatim
-    zero = np.zeros((data.shape[0], 1, data.shape[2]), dtype=np.uint8)
-    return np.diff(data, axis=1, prepend=zero).reshape(-1)
+def ref_work(width: int, half_height: int) -> np.ndarray:
+    """Work memory for ref_encode of one frame size, to hold across frames:
+    two superframe-sized planes, the row residuals and the change mask."""
+    return np.empty(2 * superframe_byte_size(width, half_height), dtype=np.uint8)
 
 
-def _rle_encode(stream: np.ndarray, change: np.ndarray) -> np.ndarray:
-    """Run-length pairs of stream; change is stream[1:] != stream[:-1]."""
-    change = np.flatnonzero(change)
-    starts = np.empty(len(change) + 1, dtype=np.intp)
-    starts[0] = 0
-    np.add(change, 1, out=starts[1:])
-    runs = np.empty(len(starts), dtype=np.intp)
-    np.subtract(starts[1:], starts[:-1], out=runs[:-1])
-    runs[-1] = len(stream) - starts[-1]
-    # split each run into full chunks of 255 plus a nonzero remainder
-    full, rem = np.divmod(runs, 255)
-    reps = full + (rem > 0)
-    counts = np.full(int(reps.sum()), 255, dtype=np.uint8)
-    last = np.cumsum(reps) - 1
-    counts[last[rem > 0]] = rem[rem > 0]
-    out = np.empty(2 * len(counts), dtype=np.uint8)
-    out[0::2] = counts
-    out[1::2] = np.repeat(stream.take(starts), reps)
-    return out
-
-
-def ref_encode(sf: Superframe) -> EncodedAccessUnit:
-    """Encode a superframe with the deterministic lossless reference codec:
-    run-length residuals, or the bytes verbatim when the runs would be
-    longer than the superframe."""
-    data = np.ascontiguousarray(sf.data)
-    resid = _row_residuals(data)
-    change = resid[1:] != resid[:-1]
+def _rle_encode(stream: np.ndarray, change: np.ndarray, limit: int) -> np.ndarray | None:
+    """Run-length pairs of stream, or None when they would be longer than
+    limit bytes; change is stream[1:] != stream[:-1]."""
     # every change starts a pair, so changes + 1 pairs is a lower bound:
     # when even that does not fit, skip building the runs
-    body = None
-    if 2 * (np.count_nonzero(change) + 1) <= data.nbytes:
-        body = _rle_encode(resid, change)
-    if body is None or len(body) > data.nbytes:
+    changes = np.count_nonzero(change)
+    if 2 * (changes + 1) > limit:
+        return None
+    # int32 indices where they suffice halve the index arrays
+    index = np.int32 if len(stream) < 2**31 else np.intp
+    # each run ends where the stream changes, and the last at its end
+    ends = np.empty(changes + 1, dtype=index)
+    ends[:-1] = np.flatnonzero(change)
+    ends[-1] = len(stream) - 1
+    runs = np.empty_like(ends)
+    runs[0] = ends[0] + 1
+    np.subtract(ends[1:], ends[:-1], out=runs[1:])
+    # split each run into full chunks of 255, its last chunk holding the
+    # rest (1..255)
+    reps = (runs + 254) // 255
+    pairs = int(reps.sum())
+    if 2 * pairs > limit:
+        return None
+    out = np.empty((pairs, 2), dtype=np.uint8)
+    out[:, 0] = 255
+    out[np.cumsum(reps, dtype=index) - 1, 0] = runs - 255 * (reps - 1)
+    out[:, 1] = np.repeat(stream.take(ends), reps)
+    return out.reshape(-1)
+
+
+def ref_encode(sf: Superframe, work: np.ndarray | None = None) -> EncodedAccessUnit:
+    """Encode a superframe with the deterministic lossless reference codec:
+    run-length residuals, or the bytes verbatim when the runs would be
+    longer than the superframe.
+
+    work is ref_work memory for the superframe's size, which a caller
+    encoding frame after frame holds so that no call allocates it afresh;
+    without it the call allocates its own. Its contents on entry never
+    change the unit, and nothing in the unit refers to it. Work of another
+    size or dtype is a ValueError.
+    """
+    data = np.ascontiguousarray(sf.data)
+    size = data.nbytes
+    if work is None:
+        work = ref_work(sf.width, sf.height // 2)
+    if work.dtype != np.uint8 or work.shape != (2 * size,):
+        raise ValueError(
+            f"work for a {sf.width}x{sf.height} superframe must be ({2 * size},) "
+            f"uint8, got {work.shape} {work.dtype}"
+        )
+    # left predictor per channel, modulo 256 (uint8 subtraction wraps); each
+    # row's leftmost pixel is kept verbatim
+    resid = work[:size]
+    rows = resid.reshape(data.shape)
+    rows[:, 0] = data[:, 0]
+    np.subtract(data[:, 1:], data[:, :-1], out=rows[:, 1:])
+    change = work[size + 1 :].view(np.bool_)
+    np.not_equal(resid[1:], resid[:-1], out=change)
+    body = _rle_encode(resid, change, size)
+    tag = REF_MAGIC
+    if body is None:
         tag, body = REF_STORED, data
-    else:
-        tag = REF_MAGIC
     return EncodedAccessUnit(
         codec_id=CodecId.REF_LOSSLESS,
         flags=FLAG_KEYFRAME,

@@ -83,12 +83,16 @@ class FramePacket:
 
 
 def encode_packet(packet: FramePacket) -> bytes:
-    if packet.header.payload_len != len(packet.payload):
-        raise FormatError(
-            f"header says {packet.header.payload_len} payload bytes, "
-            f"got {len(packet.payload)}"
-        )
-    return packet.header.pack() + packet.payload
+    return _packet(packet.header, packet.payload)
+
+
+def _packet(header: PacketHeader, *parts) -> bytes:
+    """The packet of header and the payload that parts make up, joined with
+    one copy of each part."""
+    size = sum(map(len, parts))
+    if header.payload_len != size:
+        raise FormatError(f"header says {header.payload_len} payload bytes, got {size}")
+    return b"".join((header.pack(), *parts))
 
 
 class PacketDecoder:
@@ -162,8 +166,13 @@ def deserialize_stream_header(raw: bytes) -> StreamHeader:
         raise FormatError(f"bad stream header: {exc}") from exc
 
 
+def _unit_prefix(au: EncodedAccessUnit) -> bytes:
+    """The codec id and flags byte in front of a unit's payload."""
+    return bytes([au.codec_id.value, au.flags & 0xFF])
+
+
 def serialize_access_unit(au: EncodedAccessUnit) -> bytes:
-    return bytes([au.codec_id.value, au.flags & 0xFF]) + au.payload
+    return _unit_prefix(au) + au.payload
 
 
 def deserialize_access_unit(raw: bytes) -> EncodedAccessUnit:
@@ -202,12 +211,12 @@ def send_stream(conn, hdr: StreamHeader, units, channel_id: int = 0) -> SendRepo
     END_OF_STREAM. Blocks on socket backpressure (bounded memory)."""
     report = SendReport()
 
-    def _send(ptype, payload, seq=0, timestamp_us=0, flags=0):
-        packet = FramePacket(
-            PacketHeader(ptype, flags, channel_id, seq, timestamp_us, len(payload)),
-            payload,
+    def _send(ptype, parts, seq=0, timestamp_us=0, flags=0):
+        # parts make up the payload, so each is copied once, into the packet
+        payload_len = sum(map(len, parts))
+        wire = _packet(
+            PacketHeader(ptype, flags, channel_id, seq, timestamp_us, payload_len), *parts
         )
-        wire = encode_packet(packet)
         try:
             conn.sendall(wire)
         except OSError as exc:
@@ -216,19 +225,19 @@ def send_stream(conn, hdr: StreamHeader, units, channel_id: int = 0) -> SendRepo
             ) from exc
         report.packets_sent += 1
         report.bytes_sent += len(wire)
-        report.payload_bytes += len(payload)
+        report.payload_bytes += payload_len
+        return payload_len
 
-    _send(PTYPE_STREAM_HEADER, serialize_stream_header(hdr))
+    _send(PTYPE_STREAM_HEADER, (serialize_stream_header(hdr),))
     seq = 0
     for au, timestamp_us in units:
         flags = FLAG_KEYFRAME if au.keyframe else 0
-        payload = serialize_access_unit(au)
-        _send(PTYPE_ACCESS_UNIT, payload, seq, timestamp_us, flags)
-        report.unit_payload_bytes += len(payload)
+        parts = (_unit_prefix(au), au.payload)
+        report.unit_payload_bytes += _send(PTYPE_ACCESS_UNIT, parts, seq, timestamp_us, flags)
         report.last_seq = seq
         report.units_sent += 1
         seq += 1
-    _send(PTYPE_END_OF_STREAM, b"", seq)
+    _send(PTYPE_END_OF_STREAM, (), seq)
     return report
 
 

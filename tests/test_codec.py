@@ -16,10 +16,11 @@ from threecpt.codec import (
     ExternalSession,
     ref_decode,
     ref_encode,
+    ref_work,
 )
 from threecpt.container import gen_synthetic
 from threecpt.errors import AdapterError, BitstreamError, TranscoderError
-from threecpt.frames import StreamHeader
+from threecpt.frames import StreamHeader, suppress_background
 from threecpt.superframe import Superframe, pack_superframe, superframe_byte_size
 
 from util import make_frame
@@ -191,6 +192,59 @@ class TestRefCodec:
     def test_roundtrip_property(self, w, h, seed):
         sf = random_superframe(w, h, seed=seed)
         assert ref_decode(ref_encode(sf), hdr_of(sf)) == sf
+
+
+def suppressed_sphere():
+    """The 640x480 orbiting-sphere superframe with its background suppressed
+    at 0.5 diopters, the sphere-30fps content."""
+    hdr, clip = gen_synthetic(640, 480, (30, 1), 5, "orbiting-sphere", seed=1)
+    return pack_superframe(suppress_background(clip[4], 0.5, hdr.range))
+
+
+class TestRefWork:
+    def test_held_work_gives_the_units_of_fresh_work(self):
+        rng = np.random.default_rng(5)
+        noise = Superframe(rng.integers(0, 256, size=(960, 640, 4), dtype=np.uint8))
+        sequence = [
+            noise,
+            suppressed_sphere(),
+            constant_superframe(640, 480),
+            random_superframe(2, 2, seed=3),
+            noise,
+        ]
+        held = {}  # one work per frame size, each dirtied before its first use
+        for sf in sequence:
+            size = (sf.width, sf.height // 2)
+            if size not in held:
+                held[size] = rng.integers(0, 256, size=ref_work(*size).size, dtype=np.uint8)
+            assert ref_encode(sf, held[size]).payload == ref_encode(sf).payload
+        assert [ref_encode(sf).payload[0] for sf in sequence] == [0x53, 0x52, 0x52, 0x53, 0x53]
+
+    @pytest.mark.parametrize(
+        "work",
+        [
+            np.empty(2 * 8 * 12 * 4 - 1, np.uint8),
+            np.empty(2 * 8 * 12 * 4 + 1, np.uint8),
+            np.empty(2 * 8 * 12 * 4, np.int8),
+            np.empty((2, 8 * 12 * 4), np.uint8),
+        ],
+        ids=["short", "long", "int8", "two-d"],
+    )
+    def test_work_of_another_size_or_dtype_is_value_error(self, work):
+        with pytest.raises(ValueError, match="work for a 8x12 superframe"):
+            ref_encode(random_superframe(8, 6), work)
+
+    def test_held_work_encode_peaks_below_two_superframes(self):
+        sf = suppressed_sphere()
+        work = ref_work(640, 480)
+        tracemalloc.start()
+        try:
+            au = ref_encode(sf, work)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert au.payload[0] == 0x52
+        assert peak < 2 * superframe_byte_size(640, 480)
 
 
 class TestAccessUnit:

@@ -24,6 +24,7 @@ from threecpt.codec import (
     EncodedAccessUnit,
     ref_decode,
     ref_encode,
+    ref_work,
 )
 from threecpt.errors import ThreecptError
 from threecpt.frames import StreamHeader
@@ -153,26 +154,34 @@ def residuals(data: np.ndarray) -> bytes:
     return (wide % 256).astype(np.uint8).tobytes()
 
 
+def constant_to_noise(width, height, noise, seed) -> np.ndarray:
+    """Superframe bytes, each uniform noise with probability noise, else a constant."""
+    rng = np.random.default_rng(seed)
+    shape = (2 * height, width, 4)
+    return np.where(
+        rng.random(shape) < noise,
+        rng.integers(0, 256, size=shape, dtype=np.uint8),
+        np.uint8(rng.integers(0, 256)),
+    ).astype(np.uint8)
+
+
+# width, height, noise fraction and seed of a constant_to_noise superframe
+ROUND_TRIP_CASES = (
+    st.integers(1, 8).map(lambda n: 2 * n),
+    st.integers(1, 8).map(lambda n: 2 * n),
+    st.floats(0.0, 1.0),
+    st.integers(0, 2**32 - 1),
+)
+
+
 class TestRefRoundTrip:
-    @given(
-        st.integers(1, 8).map(lambda n: 2 * n),
-        st.integers(1, 8).map(lambda n: 2 * n),
-        st.floats(0.0, 1.0),
-        st.integers(0, 2**32 - 1),
-    )
+    @given(*ROUND_TRIP_CASES)
     @example(4, 4, 0.0, 0)  # constant: run-length, every run at most 255
     @example(16, 16, 0.0, 7)  # all zero: one run of 2048, split into 255s
     @example(4, 4, 1.0, 0)  # uniform noise: stored
     @settings(max_examples=300)
     def test_constant_to_noise(self, width, height, noise, seed):
-        # each byte is uniform noise with probability noise, else a constant
-        rng = np.random.default_rng(seed)
-        shape = (2 * height, width, 4)
-        data = np.where(
-            rng.random(shape) < noise,
-            rng.integers(0, 256, size=shape, dtype=np.uint8),
-            np.uint8(rng.integers(0, 256)),
-        ).astype(np.uint8)
+        data = constant_to_noise(width, height, noise, seed)
         sf = Superframe(data)
         au = ref_encode(sf)
         body = rle_body(residuals(data))
@@ -182,6 +191,17 @@ class TestRefRoundTrip:
         assert au.payload[REF_HEADER.size :] == (data.tobytes() if stored else body)
         hdr = StreamHeader(width=width, height=height)
         assert ref_decode(au, hdr) == sf
+
+    @given(*ROUND_TRIP_CASES, st.binary(min_size=1, max_size=64))
+    @example(16, 16, 0.0, 7, bytes([1]))  # zeros into a mask of all changes
+    @example(4, 4, 1.0, 0, bytes([0]))  # noise into residuals of zero
+    @settings(max_examples=300)
+    def test_held_work_gives_the_same_unit(self, width, height, noise, seed, dirt):
+        # work holding the given bytes over and over, as left by earlier frames
+        work = ref_work(width, height)
+        work[:] = np.resize(np.frombuffer(dirt, dtype=np.uint8), work.size)
+        sf = Superframe(constant_to_noise(width, height, noise, seed))
+        assert ref_encode(sf, work).payload == ref_encode(sf).payload
 
 
 def container_bytes(width=4, height=2, frames=3) -> bytes:

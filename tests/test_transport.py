@@ -19,6 +19,7 @@ from threecpt.errors import (
 from threecpt.frames import StreamHeader
 from threecpt.superframe import pack_superframe
 from threecpt.transport import (
+    FLAG_KEYFRAME,
     HEADER_SIZE,
     MAX_PAYLOAD,
     PTYPE_ACCESS_UNIT,
@@ -28,6 +29,7 @@ from threecpt.transport import (
     FramePacket,
     PacketDecoder,
     PacketHeader,
+    SendReport,
     deserialize_access_unit,
     deserialize_stream_header,
     encode_packet,
@@ -102,6 +104,72 @@ class TestPacketLayout:
         wire[-4:] = (MAX_PAYLOAD + 1).to_bytes(4, "big")
         with pytest.raises(SanityError):
             PacketDecoder().feed(bytes(wire))
+
+
+class Recorder:
+    """Socket stand-in for send_stream: keeps a copy of each buffer it is sent."""
+
+    def __init__(self):
+        self.sent = []
+
+    def sendall(self, data):
+        self.sent.append(bytes(data))
+
+
+class TestSendFraming:
+    HDR = StreamHeader(width=16, height=6)
+
+    @pytest.mark.parametrize("stored", [True, False], ids=["stored", "run-length"])
+    def test_send_stream_writes_the_one_packet_layout(self, stored):
+        frame = make_frame(16, 6, seed=2)
+        if not stored:
+            frame.color.data[:] = 9
+            frame.depth.codes[:] = 9
+        au = ref_encode(pack_superframe(frame))
+        assert au.payload[0] == (0x53 if stored else 0x52)
+        sock = Recorder()
+        report = send_stream(sock, self.HDR, [(au, 1234)], channel_id=7)
+        head = serialize_stream_header(self.HDR)
+        payload = serialize_access_unit(au)
+        expected = [
+            encode_packet(
+                FramePacket(PacketHeader(PTYPE_STREAM_HEADER, 0, 7, 0, 0, len(head)), head)
+            ),
+            encode_packet(
+                FramePacket(
+                    PacketHeader(PTYPE_ACCESS_UNIT, FLAG_KEYFRAME, 7, 0, 1234, len(payload)),
+                    payload,
+                )
+            ),
+            encode_packet(FramePacket(PacketHeader(PTYPE_END_OF_STREAM, 0, 7, 1))),
+        ]
+        assert sock.sent == expected
+        assert report == SendReport(
+            units_sent=1,
+            packets_sent=3,
+            bytes_sent=sum(map(len, expected)),
+            payload_bytes=len(head) + len(payload),
+            unit_payload_bytes=len(payload),
+            last_seq=0,
+        )
+
+    def test_stored_unit_is_framed_with_one_copy(self):
+        au = ref_encode(pack_superframe(make_frame(640, 480, seed=3)))
+        assert au.payload[0] == 0x53
+        sizes = []
+
+        class Discard:
+            def sendall(self, data):
+                sizes.append(len(data))
+
+        tracemalloc.start()
+        try:
+            send_stream(Discard(), StreamHeader(width=640, height=480), [(au, 0)])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sizes[1] == HEADER_SIZE + 2 + len(au.payload)
+        assert peak < len(au.payload) + 1024 * 1024
 
 
 class TestFragmentation:
