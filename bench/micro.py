@@ -7,15 +7,15 @@ stream, into a socket stand-in that discards what it is sent: the framing
 the sender performs), reassemble (PacketDecoder.feed of that unit's packet
 in 64 KiB chunks and deserialize_access_unit), ref_decode, unpack,
 prepare_for_replay (prepare_nearest and prepare_bilinear into a fresh
-buffer each call, prepare_nearest_held into one buffer held across calls,
-as the receiver's replay thread does) and sink_consume on two frames: one
-orbiting-sphere frame with its background suppressed (the sphere-30fps
-content) and one frame of uniform noise (the noise-max content). For the
-sphere it also times the two sender stages ahead of pack: suppress
-(suppress_background of the unsuppressed frame at the workload's cutoff)
-and read_frame (the next frame of a clip of that frame on disk, written
-just before, so read from the page cache as the benchmark's sender reads
-its freshly written clip).
+buffer each call, prepare_nearest_held and prepare_bilinear_held into one
+buffer held across calls, as the receiver's replay thread does) and
+sink_consume on two frames: one orbiting-sphere frame with its background
+suppressed (the sphere-30fps content) and one frame of uniform noise (the
+noise-max content). For the sphere it also times the two sender stages
+ahead of pack: suppress (suppress_background of the unsuppressed frame at
+the workload's cutoff) and read_frame (the next frame of a clip of that
+frame on disk, written just before, so read from the page cache as the
+benchmark's sender reads its freshly written clip).
 Each figure is the median, with the quartiles, of --calls timed calls after
 --warmup untimed ones, in ms, with the minor page faults per call beside it
 (minflt: the process's ru_minflt change over the timed calls). The faults
@@ -23,9 +23,17 @@ depend on what the process freed before: once a block of some size has
 been freed, glibc serves blocks up to that size from memory it keeps, so
 after this script's 16 MiB buffers they read near 0 where a fresh sender
 process faults. The threecpt imported is the one in the src/ next to this
-script. Prints one JSON object that also records each frame's REF unit
-size in bytes beside its superframe size, the core count and the Python
-and numpy versions.
+script.
+The startup section runs --calls fresh interpreters (after --warmup
+untimed ones) for each of three imports: none (the interpreter alone),
+relay (from threecpt import cli, all that rgbz-relay imports) and pipeline
+(cli with the codec, container, replay and transport modules, as the
+sender and receiver load them). Each reports its own CPU time (user +
+system, interpreter start-up included) and VmHWM once the import is done;
+the section gives the median and quartiles of both, in ms and MB.
+Prints one JSON object that also records each frame's REF unit size in
+bytes beside its superframe size, the core count and the Python and numpy
+versions.
 
     python bench/micro.py [--calls 40] [--warmup 5]
 """
@@ -37,6 +45,7 @@ import json
 import os
 import platform
 import resource
+import subprocess
 import sys
 import tempfile
 import time
@@ -46,7 +55,8 @@ from types import SimpleNamespace
 
 import numpy as np
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+SRC = Path(__file__).resolve().parents[1] / "src"
+sys.path.insert(0, str(SRC))
 
 from threecpt import codec, replay, transport  # noqa: E402
 from threecpt.container import gen_synthetic, read_container, write_container  # noqa: E402
@@ -66,6 +76,21 @@ from threecpt.superframe import (  # noqa: E402
 WIDTH, HEIGHT = 640, 480
 SUPPRESS_CUTOFF = 0.5  # diopters, as in the sphere-30fps workload
 CHUNK = 65536  # bytes per receiver recv, as transport.RECV_SIZE
+
+IMPORTS = {
+    "none": "",
+    "relay": "from threecpt import cli",
+    "pipeline": "from threecpt import cli, codec, container, replay, transport",
+}
+# after the import: this process's CPU ms and VmHWM in kB, read without
+# importing anything more than resource
+REPORT_STARTUP = """
+import resource
+ru = resource.getrusage(resource.RUSAGE_SELF)
+with open("/proc/self/status") as f:
+    hwm = next(line.split()[1] for line in f if line.startswith("VmHWM:"))
+print(1e3 * (ru.ru_utime + ru.ru_stime), hwm)
+"""
 
 
 def frames() -> tuple[StreamHeader, RgbzFrame, dict[str, RgbzFrame]]:
@@ -122,8 +147,16 @@ def stages(hdr: StreamHeader, frame: RgbzFrame) -> dict:
             frame, hdr.range, "nearest", out=held
         ),
         "prepare_bilinear": lambda: replay.prepare_for_replay(frame, hdr.range, "bilinear"),
+        "prepare_bilinear_held": lambda: replay.prepare_for_replay(
+            frame, hdr.range, "bilinear", out=held
+        ),
         "sink_consume": lambda: replay.sink_consume(buf),
     }
+
+
+def quartiles(values) -> dict:
+    q1, median, q3 = np.percentile(values, [25, 50, 75])
+    return {"median": round(median, 3), "q1": round(q1, 3), "q3": round(q3, 3)}
 
 
 def time_call(fn, calls: int, warmup: int) -> dict:
@@ -136,13 +169,22 @@ def time_call(fn, calls: int, warmup: int) -> dict:
         fn()
         times.append(1e3 * (time.perf_counter() - start))
     faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
-    q1, median, q3 = np.percentile(times, [25, 50, 75])
-    return {
-        "median": round(median, 3),
-        "q1": round(q1, 3),
-        "q3": round(q3, 3),
-        "minflt": round(faults / calls, 1),
-    }
+    return {**quartiles(times), "minflt": round(faults / calls, 1)}
+
+
+def startup(statement: str, calls: int, warmup: int) -> dict:
+    """CPU ms and VmHWM (MB) of fresh interpreters that run statement."""
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    runs = []
+    for _ in range(warmup + calls):
+        out = subprocess.run(
+            [sys.executable, "-c", statement + REPORT_STARTUP],
+            env=env, check=True, capture_output=True, text=True,
+        ).stdout
+        cpu_ms, hwm_kb = out.split()
+        runs.append((float(cpu_ms), int(hwm_kb) / 1024))
+    cpu, hwm = zip(*runs[warmup:])
+    return {"cpu_ms": quartiles(cpu), "vm_hwm_mb": quartiles(hwm)}
 
 
 def main(argv=None) -> int:
@@ -171,6 +213,9 @@ def main(argv=None) -> int:
         "calls": args.calls,
         "warmup": args.warmup,
         "ms": ms,
+        "startup": {
+            name: startup(statement, args.calls, args.warmup) for name, statement in IMPORTS.items()
+        },
         "unit_bytes": {
             name: len(codec.ref_encode(pack_superframe(f)).payload) for name, f in inputs.items()
         },

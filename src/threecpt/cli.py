@@ -1,7 +1,10 @@
 """Executable endpoints: rgbz-gen, rgbz-send, rgbz-recv, rgbz-relay.
 
 The sender and receiver are also importable as run_sender / run_receiver so
-integration tests can drive loopback pipelines in-process.
+integration tests can drive loopback pipelines in-process. Importing this
+module loads only the relay and the standard library; the numpy pipeline is
+loaded when the sender, the receiver or rgbz-gen first runs, so rgbz-relay
+never loads it.
 
 Exit codes: 0 success, 2 source error or bad argument (rgbz-recv: also a
 --dump-dir or --latency-json it cannot write), 3 signaling error, 4
@@ -13,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import importlib
 import json
 import math
 import queue
@@ -23,7 +27,7 @@ import threading
 import time
 from dataclasses import dataclass
 
-from . import codec, container, relay, replay, transport
+from . import relay
 from .errors import (
     AdapterError,
     ContainerError,
@@ -33,9 +37,23 @@ from .errors import (
     ThreecptError,
     ValidationError,
 )
-from .frames import StreamHeader, check_cutoff, suppress_background
 from .latency import LatencyReport
-from .superframe import pack_superframe, superframe_byte_size, unpack_superframe
+
+# The pipeline's names, which need numpy: name -> its submodule, or None for
+# a submodule itself. rgbz-relay uses none of them, so they are bound only
+# when first used, by _load_pipeline() or by an attribute lookup on this module.
+_PIPELINE = {
+    "codec": None,
+    "container": None,
+    "replay": None,
+    "transport": None,
+    "StreamHeader": "frames",
+    "check_cutoff": "frames",
+    "suppress_background": "frames",
+    "pack_superframe": "superframe",
+    "superframe_byte_size": "superframe",
+    "unpack_superframe": "superframe",
+}
 
 EXIT_OK = 0
 EXIT_SOURCE = 2
@@ -49,6 +67,23 @@ PIPELINE_QUEUE_FRAMES = 4
 
 # a frame is late when it hits the wire more than half an interval past its deadline
 LATE_SLACK_FRAC = 0.5
+
+
+def _load_pipeline():
+    """Bind every pipeline name not bound yet as a module global. The
+    pipeline calls them through these globals, so a name patched on this
+    module (as a tracer patches pack_superframe) stays patched."""
+    for name, module in _PIPELINE.items():
+        if name not in globals():
+            value = importlib.import_module(f"{__package__}.{module or name}")
+            globals()[name] = value if module is None else getattr(value, name)
+
+
+def __getattr__(name):
+    if name not in _PIPELINE:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _load_pipeline()
+    return globals()[name]
 
 
 def _wall_us() -> int:
@@ -158,6 +193,7 @@ def _encoded(cfg: SenderConfig, command, hdr: StreamHeader, frames, report: Send
 def run_sender(cfg: SenderConfig) -> SenderReport:
     """File source -> pack -> encode -> relay. Raises on setup failures;
     the CLI wrapper maps exception types to exit codes."""
+    _load_pipeline()
     command = parse_codec(cfg.codec)
     hdr, frames = container.read_container(cfg.source)
     fps = hdr.fps if cfg.fps is None else cfg.fps
@@ -266,6 +302,7 @@ def _decoded(cfg: ReceiverConfig, command, receiver, report: ReceiverReport, lat
 
 def run_receiver(cfg: ReceiverConfig) -> tuple[ReceiverReport, LatencyReport]:
     """Relay -> decode -> unpack -> replay prep -> sink, with latency samples."""
+    _load_pipeline()
     command = parse_codec(cfg.codec)
     grant = relay.register_channel(cfg.signal_addr, "receiver", cfg.channel_id)
     conn = relay.attach(grant, "receiver")
@@ -334,6 +371,7 @@ def _codec_error(p: argparse.ArgumentParser, value: str) -> int | None:
 
 
 def gen_main(argv=None) -> int:
+    _load_pipeline()
     p = argparse.ArgumentParser(prog="rgbz-gen", description="Render a synthetic .rgbz container")
     p.add_argument("--width", type=int, default=640)
     p.add_argument("--height", type=int, default=480)

@@ -6,8 +6,10 @@ then attach to the relay listener. Once both roles of a channel are
 attached the relay splices the two connections byte-for-byte. All packet
 logic stays in the transport layer; the relay never inspects stream bytes.
 
-The splice buffers no frames: each direction is one blocking recv/sendall
-loop, so TCP backpressure from a slow receiver reaches the sender directly.
+The splice buffers no frames: each direction is one blocking loop that
+receives into one held 64 KiB buffer (``PUMP_BYTES``) and sends what
+arrived before it receives again, so TCP backpressure from a slow receiver
+reaches the sender directly and no chunk allocates a buffer of its own.
 A channel is released when both directions have ended: the relay closes
 both sockets and forgets the channel, so its id can be registered again.
 A register that finds both clients of a paired channel gone gets a fresh
@@ -53,6 +55,7 @@ ACCEPTED = b"\x00"
 REJECTED = b"\xff"
 
 TICK_S = 0.2  # how often the service loop expires channels and checks for stop()
+PUMP_BYTES = 65536  # each splice direction's held receive buffer
 
 
 def _quiet_close(sock: socket.socket):
@@ -79,11 +82,12 @@ def _client_gone(sock: socket.socket) -> bool:
 
 
 def _pump(src: socket.socket, dst: socket.socket):
-    """Copy src to dst until src ends or either side fails, then pass the
-    end on to dst's peer."""
+    """Copy src to dst through one held buffer until src ends or either
+    side fails, then pass the end on to dst's peer."""
+    buf = memoryview(bytearray(PUMP_BYTES))
     try:
-        while data := src.recv(65536):
-            dst.sendall(data)
+        while n := src.recv_into(buf):
+            dst.sendall(buf[:n])
     except OSError:
         pass
     try:

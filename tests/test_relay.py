@@ -1,11 +1,14 @@
 import hashlib
+import itertools
+import random
+import socket
 import threading
 import time
 
 import pytest
 
 from threecpt.errors import RelayAuthError, SignalingError
-from threecpt.relay import ChannelGrant, RelayServer, attach, register_channel
+from threecpt.relay import ChannelGrant, RelayServer, _pump, attach, register_channel
 
 from util import closed_port, fake_signaling, new_threads, wait_until
 
@@ -167,6 +170,34 @@ class TestAttach:
         assert time.monotonic() - start < 0.1
         conn.close()
         t.join()
+
+
+def test_pump_copies_odd_chunks_exactly_and_passes_eof_on():
+    payload = random.Random(16).randbytes(3_000_017)
+    sizes = itertools.cycle([1, 4093, 65537, 7, 100_003, 65535])
+    writer, src = socket.socketpair()
+    dst, reader = socket.socketpair()
+
+    def write():
+        pos = 0
+        while pos < len(payload):
+            n = next(sizes)
+            writer.sendall(payload[pos : pos + n])
+            pos += n
+        writer.shutdown(socket.SHUT_WR)
+
+    with writer, src, dst, reader:
+        threads = [threading.Thread(target=write), threading.Thread(target=_pump, args=(src, dst))]
+        for t in threads:
+            t.start()
+        received = bytearray()
+        reader.settimeout(10)
+        while chunk := reader.recv(100_000):  # b"" only once the pump shut dst's write side
+            received.extend(chunk)
+        for t in threads:
+            t.join(timeout=10)
+            assert not t.is_alive()
+    assert bytes(received) == payload
 
 
 class TestChannelIsolation:
