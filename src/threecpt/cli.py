@@ -6,6 +6,10 @@ module loads only the relay and the standard library; the numpy pipeline is
 loaded when the sender, the receiver or rgbz-gen first runs, so rgbz-relay
 never loads it.
 
+rgbz-recv replays only 640x480 streams. It still receives and decodes a
+stream of any other size, and says once on stderr that its frames are not
+replayed, and why.
+
 Exit codes: 0 success, 2 source error or bad argument (rgbz-recv: also a
 --dump-dir or --latency-json it cannot write), 3 signaling error, 4
 relay/transport error (also a connection that fails mid-stream), 5 protocol
@@ -315,6 +319,12 @@ def run_receiver(cfg: ReceiverConfig) -> tuple[ReceiverReport, LatencyReport]:
         receiver = transport.recv_stream(conn)
         hdr = receiver.header
         replayable = (hdr.width, hdr.height) == (replay.SOURCE_WIDTH, replay.SOURCE_HEIGHT)
+        if not replayable:
+            print(
+                f"frames are received but not replayed: the stream is {hdr.width}x{hdr.height}, "
+                f"replay takes {replay.SOURCE_WIDTH}x{replay.SOURCE_HEIGHT}",
+                file=sys.stderr,
+            )
         buf = None  # one SLM buffer, refilled frame after frame
         frames = _ahead(_decoded(cfg, command, receiver, report, latency))
         try:

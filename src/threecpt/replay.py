@@ -9,9 +9,14 @@ read it in diopters. The caller may pass the buffer to fill, as the receiver
 does with the one it holds: the chain rewrites the whole window and nothing
 else. sink_consume validates a buffer and stands in for the engine handoff.
 
-The bilinear filter packs a source pixel's R, G, B and zero pad bytes into
-the four 16-bit lanes of one uint64, so one add filters all three channels.
-A lane peaks at 16 * 255 + 8 = 4088 < 2**16, so no carry crosses a lane;
+Both modes build whole (R, G, B, Z) elements as little-endian uint32 at
+source resolution and store each 2x2 phase of the window (rows dy::2,
+columns dx::2) with one strided write, so every window element is written
+once. The bilinear filter packs a source pixel's R, G, B and zero pad bytes
+into the four 16-bit lanes of one uint64, so one add filters all three
+channels. It runs on bands of BAND_ROWS source rows: a horizontal pass, then
+a vertical one, both on contiguous band scratch allocated once per call. A
+lane peaks at 4 * (4 * 255 + 2) = 4088 < 2**16, so no carry crosses a lane;
 the final >> 4 moves 4 bits of each lane into the top of the lane below,
 and narrowing the lanes to bytes drops them.
 """
@@ -44,8 +49,7 @@ EMBED_Y = (FIELD_HEIGHT - UPSCALED_HEIGHT) // 2  # 32
 
 SLM_BUFFER_BYTES = SLM_WIDTH * SLM_HEIGHT * 4  # 16777216
 
-BAND_ROWS = 32  # bilinear source rows per pass, so its ~1.5 MB of temporaries stay in cache
-DEPTH_ONLY = np.array([0, 0, 0, 0xFF], dtype=np.uint8).view(np.uint32)
+BAND_ROWS = 32  # bilinear source rows per band, so its ~1 MB of band scratch stays in cache
 
 
 @dataclass(frozen=True)
@@ -94,48 +98,65 @@ def prepare_for_replay(
     elements = np.zeros((SLM_HEIGHT, SLM_WIDTH, 4), np.uint8) if out is None else out.elements
     rows = slice(EMBED_Y, EMBED_Y + UPSCALED_HEIGHT)
     cols = slice(EMBED_X, EMBED_X + UPSCALED_WIDTH)
-    src = frame.color.data.copy()
-    src[:, :, 3] = frame.depth.codes
-    src32 = src.reshape(SOURCE_HEIGHT, SOURCE_WIDTH * 4).view(np.uint32)
+    window = elements.view("<u4")[:, :, 0][rows, cols]  # a strided out raises here
     if mode == "bilinear":
-        src32 &= DEPTH_ONLY  # the filter ORs the color bytes in
-    # 2x2 replication on whole elements: one uint32 per (R,G,B,Z);
-    # columns doubled once, then each doubled row written twice
-    up = np.repeat(src32, 2, axis=1)
-    w32 = elements.view(np.uint32)[:, :, 0][rows, cols]  # a strided out raises here
-    w32[0::2] = up
-    w32[1::2] = up
-    if mode == "bilinear":
-        _bilinear_2x(frame.color.data, w32)
+        _bilinear_2x(frame.color.data, frame.depth.codes, window)
+    else:  # whole (R, G, B, Z) elements: the color's pad byte is zero
+        plane = frame.depth.codes.astype("<u4")
+        plane <<= 24
+        plane |= np.ascontiguousarray(frame.color.data).view("<u4")[:, :, 0]
+        for dy, dx in ((0, 0), (0, 1), (1, 0), (1, 1)):
+            window[dy::2, dx::2] = plane
     return SlmBuffer(elements=elements, range=rng)
 
 
-def _bilinear_2x(color: np.ndarray, window: np.ndarray) -> None:
+def _bilinear_2x(color: np.ndarray, codes: np.ndarray, window: np.ndarray) -> None:
     """2x bilinear with half-pixel centers and edge pixels duplicated, on
-    packed lanes (module docstring), ORed into window: (2h, 2w) uint32
-    elements whose color bytes are zero.
+    packed lanes (module docstring), written into window: (2h, 2w) uint32
+    elements, each once, with the depth codes nearest in the Z bytes.
 
     Destination pixel d samples the source at (d + 0.5) / 2 - 0.5, so on
     each axis it weighs its two nearest source pixels 3:1: every output is
     (9a + 3b + 3c + d) / 16, rounded half up as (9a + 3b + 3c + d + 8) >> 4.
+    The horizontal pass adds 2 per lane, which the vertical one makes the 8
+    (3 * 2 + 2). A band's four phases are built contiguously, then stored.
     """
-    h, w = color.shape[:2]
-    lanes = color.astype(np.uint16, order="C").view(np.uint64)[:, :, 0]
-    p = np.pad(lanes, 1, mode="edge")
-    for y in range(0, h, BAND_ROWS):
-        band = p[y : y + BAND_ROWS + 2]
-        # output row 2k leans on source row k-1, row 2k+1 on row k+1
-        near = 3 * band[1:-1]
-        rows = np.empty((2 * len(near), w + 2), dtype=np.uint64)
-        np.add(near, band[:-2], out=rows[0::2])
-        np.add(near, band[2:], out=rows[1::2])
-        # the same on columns, with the rounding term 8 folded into every lane
-        near = 3 * rows[:, 1:-1] + np.uint64(0x0008000800080008)
-        out = np.empty((len(rows), 2 * w), dtype=np.uint64)
-        np.add(near, rows[:, :-2], out=out[:, 0::2])
-        np.add(near, rows[:, 2:], out=out[:, 1::2])
-        out >>= 4
-        window[2 * y : 2 * y + len(out)] |= out.view(np.uint16).astype(np.uint8).view(np.uint32)
+    h, w = codes.shape
+    n = min(BAND_ROWS, h)
+    lanes = np.empty((n + 2, w + 2, 4), np.uint16)  # a band with its halo rows and columns
+    near = np.empty((n + 2, w), np.uint64)
+    horiz = np.empty((2, n + 2, w), np.uint64)  # output columns 2j and 2j + 1
+    acc = np.empty((n, w), np.uint64)
+    phase = np.empty((n, w, 4), np.uint8)
+    depth = np.empty((n, w), "<u4")
+    for y in range(0, h, n):
+        k = min(n, h - y)
+        # source rows y - 1 .. y + k, the frame's edge rows and columns duplicated
+        lanes[1 : k + 1, 1:-1] = color[y : y + k]
+        lanes[0, 1:-1] = color[max(y - 1, 0)]
+        lanes[k + 1, 1:-1] = color[min(y + k, h - 1)]
+        lanes[:, 0] = lanes[:, 1]
+        lanes[:, -1] = lanes[:, -2]
+        # output column 2j leans on source column j - 1, column 2j + 1 on j + 1
+        p, c = lanes.view(np.uint64)[: k + 2, :, 0], near[: k + 2]
+        np.multiply(p[:, 1:-1], 3, out=c)
+        c += np.uint64(0x0002000200020002)
+        np.add(c, p[:, :-2], out=horiz[0, : k + 2])
+        np.add(c, p[:, 2:], out=horiz[1, : k + 2])
+        z, a, b = depth[:k], acc[:k], phase[:k]
+        b32 = b.view("<u4")[:, :, 0]
+        z[:] = codes[y : y + k]
+        z <<= 24
+        for dx in (0, 1):
+            # output row 2i leans on source row i - 1, row 2i + 1 on row i + 1
+            rows = horiz[dx, : k + 2]
+            c = np.multiply(rows[1:-1], 3, out=near[:k])
+            for dy in (0, 1):
+                np.add(c, rows[2 * dy : 2 * dy + k], out=a)
+                a >>= 4
+                np.copyto(b, a.view(np.uint16).reshape(k, w, 4), casting="unsafe")
+                b32 |= z
+                window[2 * y + dy : 2 * (y + k) : 2, dx::2] = b32
 
 
 def sink_consume(

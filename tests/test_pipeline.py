@@ -261,6 +261,14 @@ class TestEndToEnd:
             t.join(timeout=5)
         assert wait_until(lambda: not new_threads(before))
 
+    def test_stream_not_640x480_received_but_not_replayed(self, server, tmp_path, capsys):
+        path, _ = write_stream(tmp_path, frames=3)  # 64x48
+        _, recv, _, received = run_pipeline(server, path, channel=7, sender_kw={"fps": 0})
+        assert (recv.frames_received, len(received), recv.replayed_frames) == (3, 3, 0)
+        assert capsys.readouterr().err == (
+            "frames are received but not replayed: the stream is 64x48, replay takes 640x480\n"
+        )
+
     def test_dump_mode_writes_files(self, server, tmp_path):
         hdr, fs = container.gen_synthetic(640, 480, (30, 1), 2)
         path = tmp_path / "full.rgbz"

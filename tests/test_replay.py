@@ -3,6 +3,7 @@ import pytest
 
 from threecpt.errors import DimensionError, ValidationError
 from threecpt.frames import ColorImage, DepthMap, DisparityRange, RgbzFrame
+from threecpt import replay
 from threecpt.container import gen_synthetic
 from threecpt.replay import (
     EMBED_X,
@@ -79,6 +80,20 @@ class TestOracle:
         assert np.array_equal(buf.elements, reference_buffer(frame, mode))
 
 
+class TestBandSeams:
+    """Bilinear reads one halo row across each band edge: bands of one row
+    make every row a seam, and 7 rows leave a partial last band."""
+
+    @pytest.mark.parametrize("band_rows", [1, 7, 32, 480])
+    @pytest.mark.parametrize(
+        "frame", [p for p in oracle_inputs() if p.id in ("noise0", "opposed-checker")]
+    )
+    def test_bilinear_equals_reference(self, frame, band_rows, monkeypatch):
+        monkeypatch.setattr(replay, "BAND_ROWS", band_rows)
+        buf = prepare_for_replay(frame, R02, "bilinear")
+        assert np.array_equal(buf.elements, reference_buffer(frame, "bilinear"))
+
+
 class TestHeldBuffer:
     """A buffer passed back in as out is refilled to a fresh buffer's bytes."""
 
@@ -91,6 +106,26 @@ class TestHeldBuffer:
                 assert buf.elements is held.elements
             assert np.array_equal(buf.elements, prepare_for_replay(frame, R02, mode).elements)
             held = buf
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("stale", ["all-ff", "previous-noise"])
+    def test_stale_window_rewritten_and_surround_kept(self, mode, stale):
+        # the window ends as a fresh buffer's, whatever it held, and the
+        # caller's bytes outside it stay as they were
+        elements = np.resize(np.arange(251, dtype=np.uint8), (2048, 2048, 4))
+        if stale == "all-ff":
+            elements[WINDOW] = 0xFF
+        else:
+            previous = make_frame(640, 480, seed=12)
+            elements[WINDOW] = prepare_for_replay(previous, R02, mode).elements[WINDOW]
+        before = elements.copy()
+        frame = make_frame(640, 480, seed=13)
+        buf = prepare_for_replay(frame, R02, mode, out=SlmBuffer(elements, R02))
+        fresh = prepare_for_replay(frame, R02, mode).elements
+        assert buf.elements is elements
+        assert np.array_equal(elements[WINDOW], fresh[WINDOW])
+        elements[WINDOW] = before[WINDOW]
+        assert np.array_equal(elements, before)
 
     def test_non_contiguous_out_rejected(self):
         strided = np.zeros((2048, 2048, 8), dtype=np.uint8)[:, :, ::2]
