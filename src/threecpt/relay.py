@@ -1,10 +1,11 @@
 """Self-hosted rendezvous: signaling registry plus a byte-agnostic relay.
 
 Both endpoints dial out: the sender and receiver each register a channel id
-with the signaling listener, get back a grant (relay port + 16-byte key),
-then attach to the relay listener. Once both roles of a channel are
-attached the relay splices the two connections byte-for-byte. All packet
-logic stays in the transport layer; the relay never inspects stream bytes.
+with the signaling listener, get back a grant (relay port + 16-byte key
+from ``os.urandom``), then attach to the relay listener, which compares the
+key in constant time. Once both roles of a channel are attached the relay
+splices the two connections byte-for-byte. All packet logic stays in the
+transport layer; the relay never inspects stream bytes.
 
 The splice buffers no frames: each direction is one blocking loop that
 receives into one held 64 KiB buffer (``PUMP_BYTES``) and sends what
@@ -34,13 +35,17 @@ Wire surfaces:
 
 from __future__ import annotations
 
-import secrets
+import os
 import select
 import socket
 import struct
 import threading
 import time
 from dataclasses import dataclass, field
+
+# hmac.compare_digest without hashlib: hmac falls back to this constant-time
+# compare when _hashlib is absent, and hashlib would map libcrypto
+from _operator import _compare_digest
 
 from .errors import RelayAuthError, SignalingError
 
@@ -252,7 +257,7 @@ class RelayServer:
             if chan is None:
                 if len(self._channels) >= self.max_channels:
                     return f"ERR capacity at max {self.max_channels} channels\n"
-                chan = _Channel(key=secrets.token_bytes(16), created_at=time.monotonic())
+                chan = _Channel(key=os.urandom(16), created_at=time.monotonic())
                 self._channels[channel_id] = chan
             if chan.holds(role):
                 return f"ERR conflict {role} already attached on channel {channel_id}\n"
@@ -278,7 +283,7 @@ class RelayServer:
                 magic == ATTACH_MAGIC
                 and role is not None
                 and chan is not None
-                and secrets.compare_digest(key, chan.key)
+                and _compare_digest(key, chan.key)
                 and not chan.holds(role)
             )
             if ok:

@@ -93,6 +93,33 @@ def test_relay_runs_without_numpy():
         ["threecpt", "threecpt.cli", "threecpt.errors", "threecpt.latency", "threecpt.relay"]
     )
 
+
+# Runs in a fresh child: the CLI module and one relay session, registered,
+# attached and spliced, load none of the modules that map libcrypto.
+WITHOUT_OPENSSL = """
+import sys
+from threecpt import cli
+
+with cli.relay.RelayServer() as srv:
+    addr = (srv.host, srv.signal_port)
+    grants = [cli.relay.register_channel(addr, role, 5) for role in ("sender", "receiver")]
+    tx, rx = (cli.relay.attach(g, role) for g, role in zip(grants, ("sender", "receiver")))
+    with tx, rx:
+        tx.sendall(b"spliced")
+        assert cli.relay._read_exact(rx, 7) == b"spliced"
+print(sorted(m for m in ("_hashlib", "hashlib", "hmac", "ssl") if m in sys.modules))
+"""
+
+
+def test_relay_session_loads_no_openssl():
+    proc = subprocess.run(
+        [sys.executable, "-c", WITHOUT_OPENSSL],
+        env=child_env(), capture_output=True, text=True, timeout=30,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 # Runs in a fresh child, so the pipeline names are patched on cli before cli
 # has bound any of them: the sender and receiver must call the patched ones.
 PATCHED_FIRST = """

@@ -125,6 +125,15 @@ class TestAttach:
         with pytest.raises(RelayAuthError):
             attach(bogus, "sender")
 
+    @pytest.mark.parametrize("at", [0, 15], ids=["first-byte", "last-byte"])
+    def test_key_one_byte_off_rejected(self, server, at):
+        grant = register_channel(signal_addr(server), "sender", 15)
+        key = bytearray(grant.key)
+        key[at] ^= 0x01
+        with pytest.raises(RelayAuthError):
+            attach(ChannelGrant(15, grant.relay_host, grant.relay_port, bytes(key)), "sender")
+        attach(grant, "sender").close()  # the role is still free for the granted key
+
     def test_unknown_channel_rejected(self, server):
         bogus = ChannelGrant(999, server.host, server.relay_port, b"\x00" * 16)
         with pytest.raises(RelayAuthError):

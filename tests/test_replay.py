@@ -1,3 +1,5 @@
+import zlib
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from threecpt.replay import (
     EMBED_Y,
     FIELD_HEIGHT,
     FIELD_WIDTH,
+    SINK_BAND_ROWS,
     SLM_BUFFER_BYTES,
     UPSCALED_HEIGHT,
     UPSCALED_WIDTH,
@@ -283,7 +286,55 @@ class TestPrepareForReplay:
             prepare_for_replay(make_frame(320, 240), R02)
 
 
+def lit_rows(rows):
+    """640x480 frame whose source rows in rows are nonzero in every byte and
+    whose other rows are zero, so the window rows they map to are empty."""
+    lit = np.zeros((480, 1), bool)
+    lit[rows] = True
+    rng = np.random.default_rng(5)
+    rgb = np.where(lit[:, :, None], rng.integers(1, 256, (480, 640, 3)), 0)
+    return frame_from_rgbz(rgb, np.where(lit, rng.integers(1, 256, (480, 640)), 0))
+
+
+def single_lit(y, x):
+    rgb = np.zeros((480, 640, 3))
+    rgb[y, x] = 200
+    return frame_from_rgbz(rgb, np.zeros((480, 640)))
+
+
+# a window band is SINK_BAND_ROWS // 2 = 16 source rows
+def sink_inputs():
+    yield pytest.param(lit_rows(slice(40, None)), id="zero-top")  # 80 window rows: 2.5 bands
+    yield pytest.param(lit_rows(np.r_[0:100, 160:480]), id="zero-middle")
+    yield pytest.param(lit_rows(slice(None, 448)), id="zero-bottom-bands")  # the last two bands
+    yield pytest.param(lit_rows(slice(None, 455)), id="zero-bottom")
+    yield pytest.param(single_lit(200, 3), id="single-element")
+    yield pytest.param(single_lit(31, 639), id="single-at-band-edge")
+    yield pytest.param(frame_from_rgbz(np.zeros((480, 640, 3)), np.zeros((480, 640))), id="all-zero")
+    yield pytest.param(lit_rows(slice(None)), id="no-zero-element")
+    yield pytest.param(sphere_frames()[1], id="sphere")
+
+
 class TestSink:
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("frame", sink_inputs())
+    def test_stats_equal_whole_window_reference(self, frame, mode):
+        buf = prepare_for_replay(frame, R02, mode)
+        window = buf.elements[WINDOW]
+        stats = sink_consume(buf)
+        assert stats.checksum_adler32 == zlib.adler32(np.ascontiguousarray(window))
+        assert stats.nonzero_elements == np.count_nonzero(window.view("<u4"))
+
+    @pytest.mark.parametrize("y", [0, SINK_BAND_ROWS - 1, SINK_BAND_ROWS, UPSCALED_HEIGHT - 1])
+    @pytest.mark.parametrize("x", [0, UPSCALED_WIDTH - 1])
+    def test_one_nonzero_element_in_one_band(self, y, x):
+        elements = np.zeros((2048, 2048, 4), np.uint8)
+        elements[EMBED_Y + y, EMBED_X + x, 3] = 9
+        window = elements[WINDOW]
+        stats = sink_consume(SlmBuffer(elements, R02))
+        assert stats.checksum_adler32 == zlib.adler32(np.ascontiguousarray(window))
+        assert stats.nonzero_elements == 1
+
     def test_valid_buffer_counts_match_source(self):
         f = make_frame(640, 480, seed=7)
         src = np.concatenate(
