@@ -43,9 +43,12 @@ import threading
 import time
 from dataclasses import dataclass, field
 
-# hmac.compare_digest without hashlib: hmac falls back to this constant-time
-# compare when _hashlib is absent, and hashlib would map libcrypto
-from _operator import _compare_digest
+try:
+    # hmac.compare_digest without hashlib: hmac falls back to this constant-time
+    # compare when _hashlib is absent, and hashlib would map libcrypto
+    from _operator import _compare_digest
+except ImportError:  # an interpreter without the private name: the public compare
+    from hmac import compare_digest as _compare_digest
 
 from .errors import RelayAuthError, SignalingError
 

@@ -50,7 +50,6 @@ EMBED_Y = (FIELD_HEIGHT - UPSCALED_HEIGHT) // 2  # 32
 SLM_BUFFER_BYTES = SLM_WIDTH * SLM_HEIGHT * 4  # 16777216
 
 BAND_ROWS = 32  # bilinear source rows per band, so its ~1 MB of band scratch stays in cache
-SINK_BAND_ROWS = 32  # window rows per band that sink_consume folds without reading when empty
 
 
 @dataclass(frozen=True)
@@ -166,11 +165,8 @@ def sink_consume(
     """Validate buffer invariants and report stats; the stand-in for the
     hologram engine handoff. The checksum is adler32 over the embed-window
     bytes; together with the validated all-zero surround it pins down the
-    whole buffer. When the window holds a zero element, each band of
-    SINK_BAND_ROWS rows with no nonzero element is folded into the checksum
-    in closed form instead of being read; a window with no zero element is
-    read row by row. Optionally dumps the color plane (binary PPM) and Z
-    plane (binary PGM) as frame_<seq>.ppm / frame_<seq>.pgm."""
+    whole buffer. Optionally dumps the color plane (binary PPM) and Z plane
+    (binary PGM) as frame_<seq>.ppm / frame_<seq>.pgm."""
     el = buf.elements
     if el.shape != (SLM_HEIGHT, SLM_WIDTH, 4):
         raise ValidationError(f"buffer shape invariant violated: {el.shape}")
@@ -192,21 +188,10 @@ def sink_consume(
 
     # everything outside the embed window is zero (just validated), so the
     # window alone determines the count and the checksum
-    window = pixels[y0:y1, x0:x1]
-    nonzero = int(np.count_nonzero(window))
+    nonzero = int(np.count_nonzero(pixels[y0:y1, x0:x1]))
     checksum = 1  # adler32 of no bytes, folded over the window's rows without a copy
-    if nonzero == window.size:
-        for row in window:
-            checksum = zlib.adler32(row, checksum)
-    else:
-        for y in range(0, UPSCALED_HEIGHT, SINK_BAND_ROWS):
-            band = window[y : y + SINK_BAND_ROWS]
-            if np.count_nonzero(band):
-                for row in band:
-                    checksum = zlib.adler32(row, checksum)
-            else:  # zero bytes leave adler32's A as it is and add A to B once each
-                a = checksum & 0xFFFF
-                checksum = ((checksum >> 16) + band.nbytes * a) % 65521 << 16 | a
+    for row in el[y0:y1, x0:x1]:
+        checksum = zlib.adler32(row, checksum)
     if dump_dir is not None:
         dump_dir = Path(dump_dir)
         dump_dir.mkdir(parents=True, exist_ok=True)

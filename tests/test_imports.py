@@ -120,6 +120,38 @@ def test_relay_session_loads_no_openssl():
     assert proc.stdout.strip() == "[]"
 
 
+# Runs in a fresh child whose _operator lacks the private compare: the relay
+# falls back to hmac's public one and still checks keys.
+WITHOUT_PRIVATE_COMPARE = """
+import _operator
+del _operator._compare_digest
+import hmac
+from threecpt import relay
+
+assert relay._compare_digest is hmac.compare_digest
+with relay.RelayServer() as srv:
+    grant = relay.register_channel((srv.host, srv.signal_port), "sender", 5)
+    wrong = relay.ChannelGrant(5, grant.relay_host, grant.relay_port, bytes(16))
+    try:
+        relay.attach(wrong, "sender")
+    except relay.RelayAuthError:
+        pass
+    else:
+        raise AssertionError("a wrong key was accepted")
+    relay.attach(grant, "sender").close()
+print("ok")
+"""
+
+
+def test_relay_falls_back_to_public_compare():
+    proc = subprocess.run(
+        [sys.executable, "-c", WITHOUT_PRIVATE_COMPARE],
+        env=child_env(), capture_output=True, text=True, timeout=30,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "ok"
+
+
 # Runs in a fresh child, so the pipeline names are patched on cli before cli
 # has bound any of them: the sender and receiver must call the patched ones.
 PATCHED_FIRST = """

@@ -12,7 +12,6 @@ from threecpt.replay import (
     EMBED_Y,
     FIELD_HEIGHT,
     FIELD_WIDTH,
-    SINK_BAND_ROWS,
     SLM_BUFFER_BYTES,
     UPSCALED_HEIGHT,
     UPSCALED_WIDTH,
@@ -302,14 +301,15 @@ def single_lit(y, x):
     return frame_from_rgbz(rgb, np.zeros((480, 640)))
 
 
-# a window band is SINK_BAND_ROWS // 2 = 16 source rows
+# zero runs of whole window rows at the top, in the middle and at the bottom,
+# single nonzero elements, and windows with all or none of their elements zero
 def sink_inputs():
-    yield pytest.param(lit_rows(slice(40, None)), id="zero-top")  # 80 window rows: 2.5 bands
+    yield pytest.param(lit_rows(slice(40, None)), id="zero-top")
     yield pytest.param(lit_rows(np.r_[0:100, 160:480]), id="zero-middle")
-    yield pytest.param(lit_rows(slice(None, 448)), id="zero-bottom-bands")  # the last two bands
+    yield pytest.param(lit_rows(slice(None, 448)), id="zero-bottom-64-rows")
     yield pytest.param(lit_rows(slice(None, 455)), id="zero-bottom")
     yield pytest.param(single_lit(200, 3), id="single-element")
-    yield pytest.param(single_lit(31, 639), id="single-at-band-edge")
+    yield pytest.param(single_lit(31, 639), id="single-at-row-end")
     yield pytest.param(frame_from_rgbz(np.zeros((480, 640, 3)), np.zeros((480, 640))), id="all-zero")
     yield pytest.param(lit_rows(slice(None)), id="no-zero-element")
     yield pytest.param(sphere_frames()[1], id="sphere")
@@ -325,9 +325,9 @@ class TestSink:
         assert stats.checksum_adler32 == zlib.adler32(np.ascontiguousarray(window))
         assert stats.nonzero_elements == np.count_nonzero(window.view("<u4"))
 
-    @pytest.mark.parametrize("y", [0, SINK_BAND_ROWS - 1, SINK_BAND_ROWS, UPSCALED_HEIGHT - 1])
+    @pytest.mark.parametrize("y", [0, UPSCALED_HEIGHT // 2, UPSCALED_HEIGHT - 1])
     @pytest.mark.parametrize("x", [0, UPSCALED_WIDTH - 1])
-    def test_one_nonzero_element_in_one_band(self, y, x):
+    def test_one_nonzero_element(self, y, x):
         elements = np.zeros((2048, 2048, 4), np.uint8)
         elements[EMBED_Y + y, EMBED_X + x, 3] = 9
         window = elements[WINDOW]
