@@ -25,6 +25,11 @@ in the src/ next to this script, so running each checkout's own copy of the
 script compares two commits:
 
     python bench/digests.py > digests.json
+
+bench/digests.json is this output for the current bytes; CI fails when a run
+differs from it:
+
+    python bench/digests.py | diff -u bench/digests.json -
 """
 
 from __future__ import annotations

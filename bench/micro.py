@@ -11,7 +11,12 @@ buffer each call, prepare_nearest_held and prepare_bilinear_held into one
 buffer held across calls, as the receiver's replay thread does) and
 sink_consume on two frames: one orbiting-sphere frame with its background
 suppressed (the sphere-30fps content) and one frame of uniform noise (the
-noise-max content). For the sphere it also times the two sender stages
+noise-max content). sink_consume is also timed on the unsuppressed sphere
+frame (the sphere-bilinear-max content, a window with no empty band), in
+its own sphere_unsuppressed section. Each sink_consume figure carries
+empty_bands beside it: the share of the window's SINK_BAND_ROWS-row bands
+with no nonzero element, which the sink folds into its checksum unread.
+For the sphere it also times the two sender stages
 ahead of pack: suppress (suppress_background of the unsuppressed frame at
 the workload's cutoff) and read_frame (the next frame of a clip of that
 frame on disk, written just before, so read from the page cache as the
@@ -132,7 +137,6 @@ def stages(hdr: StreamHeader, frame: RgbzFrame) -> dict:
         (packet,) = [p for chunk in chunks for p in decoder.feed(chunk)]
         return transport.deserialize_access_unit(packet.payload)
 
-    buf = replay.prepare_for_replay(frame, hdr.range, "nearest")
     held = replay.prepare_for_replay(frame, hdr.range, "nearest")
     return {
         "pack": lambda: pack_superframe(frame),
@@ -150,8 +154,22 @@ def stages(hdr: StreamHeader, frame: RgbzFrame) -> dict:
         "prepare_bilinear_held": lambda: replay.prepare_for_replay(
             frame, hdr.range, "bilinear", out=held
         ),
-        "sink_consume": lambda: replay.sink_consume(buf),
     }
+
+
+def sink(hdr: StreamHeader, frame: RgbzFrame, calls: int, warmup: int) -> dict:
+    """sink_consume of frame's nearest buffer, timed, with the share of its
+    window's bands that hold no nonzero element."""
+    buf = replay.prepare_for_replay(frame, hdr.range, "nearest")
+    window = buf.elements.view("<u4")[
+        replay.EMBED_Y : replay.EMBED_Y + replay.UPSCALED_HEIGHT,
+        replay.EMBED_X : replay.EMBED_X + replay.UPSCALED_WIDTH,
+        0,
+    ]
+    bands = range(0, replay.UPSCALED_HEIGHT, replay.SINK_BAND_ROWS)
+    empty = sum(not window[y : y + replay.SINK_BAND_ROWS].any() for y in bands)
+    timing = time_call(lambda: replay.sink_consume(buf), calls, warmup)
+    return {**timing, "empty_bands": round(empty / len(bands), 3)}
 
 
 def quartiles(values) -> dict:
@@ -194,9 +212,13 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     hdr, raw, inputs = frames()
     ms = {
-        name: {stage: time_call(fn, args.calls, args.warmup) for stage, fn in stages(hdr, f).items()}
+        name: {
+            **{stage: time_call(fn, args.calls, args.warmup) for stage, fn in stages(hdr, f).items()},
+            "sink_consume": sink(hdr, f, args.calls, args.warmup),
+        }
         for name, f in inputs.items()
     }
+    ms["sphere_unsuppressed"] = {"sink_consume": sink(hdr, raw, args.calls, args.warmup)}
     with tempfile.TemporaryDirectory() as tmp:
         sender = source_stages(hdr, raw, Path(tmp) / "clip.rgbz", args.warmup + args.calls)
         ms["sphere"] = {

@@ -301,6 +301,15 @@ def single_lit(y, x):
     return frame_from_rgbz(rgb, np.zeros((480, 640)))
 
 
+def assert_whole_window_stats(buf):
+    """sink_consume's stats equal adler32 and the nonzero-element count of
+    the whole window, each taken in one call."""
+    window = buf.elements[WINDOW]
+    stats = sink_consume(buf)
+    assert stats.checksum_adler32 == zlib.adler32(np.ascontiguousarray(window))
+    assert stats.nonzero_elements == np.count_nonzero(window.view("<u4"))
+
+
 # zero runs of whole window rows at the top, in the middle and at the bottom,
 # single nonzero elements, and windows with all or none of their elements zero
 def sink_inputs():
@@ -319,11 +328,16 @@ class TestSink:
     @pytest.mark.parametrize("mode", MODES)
     @pytest.mark.parametrize("frame", sink_inputs())
     def test_stats_equal_whole_window_reference(self, frame, mode):
-        buf = prepare_for_replay(frame, R02, mode)
-        window = buf.elements[WINDOW]
-        stats = sink_consume(buf)
-        assert stats.checksum_adler32 == zlib.adler32(np.ascontiguousarray(window))
-        assert stats.nonzero_elements == np.count_nonzero(window.view("<u4"))
+        assert_whole_window_stats(prepare_for_replay(frame, R02, mode))
+
+    # bands of one row fold every zero row alone, 7 leaves a short last band
+    # (the fold's byte count), 960 makes the window one band
+    @pytest.mark.parametrize("band_rows", [1, 7, 32, UPSCALED_HEIGHT])
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("frame", sink_inputs())
+    def test_band_seams_equal_whole_window_reference(self, frame, mode, band_rows, monkeypatch):
+        monkeypatch.setattr(replay, "SINK_BAND_ROWS", band_rows)
+        assert_whole_window_stats(prepare_for_replay(frame, R02, mode))
 
     @pytest.mark.parametrize("y", [0, UPSCALED_HEIGHT // 2, UPSCALED_HEIGHT - 1])
     @pytest.mark.parametrize("x", [0, UPSCALED_WIDTH - 1])
@@ -350,9 +364,39 @@ class TestSink:
         with pytest.raises(ValidationError, match="row 1500"):
             sink_consume(buf)
 
+    @pytest.mark.parametrize("byte", range(4))
+    @pytest.mark.parametrize(
+        "y, x",
+        [pytest.param(FIELD_HEIGHT, 0, id="first-pad-row"), pytest.param(2047, 2047, id="last-element")],
+    )
+    def test_padding_violation_at(self, y, x, byte):
+        buf = prepare_for_replay(make_frame(640, 480), R02)
+        buf.elements[y, x, byte] = 1
+        with pytest.raises(ValidationError, match=rf"^padding-violation: nonzero byte in row {y}$"):
+            sink_consume(buf)
+
     def test_embed_window_violation(self):
         buf = prepare_for_replay(make_frame(640, 480), R02)
         buf.elements[0, 0, 0] = 1  # outside the embed window
+        with pytest.raises(ValidationError, match="embed-window"):
+            sink_consume(buf)
+
+    # the surround is checked in 8-byte words: one nonzero byte in any of an
+    # element's 4 bytes, next to each window edge or at the field's last row
+    @pytest.mark.parametrize("byte", range(4))
+    @pytest.mark.parametrize(
+        "y, x",
+        [
+            pytest.param(EMBED_Y, EMBED_X - 1, id="left"),
+            pytest.param(EMBED_Y, EMBED_X + UPSCALED_WIDTH, id="right"),
+            pytest.param(EMBED_Y - 1, EMBED_X, id="above"),
+            pytest.param(EMBED_Y + UPSCALED_HEIGHT, EMBED_X + UPSCALED_WIDTH - 1, id="below"),
+            pytest.param(FIELD_HEIGHT - 1, FIELD_WIDTH - 1, id="last-field-row"),
+        ],
+    )
+    def test_embed_window_violation_at(self, y, x, byte):
+        buf = prepare_for_replay(make_frame(640, 480), R02)
+        buf.elements[y, x, byte] = 1
         with pytest.raises(ValidationError, match="embed-window"):
             sink_consume(buf)
 
