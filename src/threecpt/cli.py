@@ -10,10 +10,12 @@ rgbz-recv replays only 640x480 streams. It still receives and decodes a
 stream of any other size, and says once on stderr that its frames are not
 replayed, and why.
 
-Exit codes: 0 success, 2 source error or bad argument (rgbz-recv: also a
---dump-dir or --latency-json it cannot write), 3 signaling error, 4
-relay/transport error (also a connection that fails mid-stream), 5 protocol
-desync, 6 (rgbz-recv) a frame failed SLM buffer validation.
+Exit codes: 0 success, 2 source error or a bad argument to any endpoint
+(rgbz-gen: also a frame size or fps outside the stream header's bounds;
+rgbz-recv: also a --dump-dir or --latency-json it cannot write), 3
+signaling error, 4 relay/transport error (also a connection that fails
+mid-stream), 5 protocol desync, 6 (rgbz-recv) a frame failed SLM buffer
+validation.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ from .errors import (
     AdapterError,
     ContainerError,
     DesyncError,
+    DimensionError,
     RangeError,
     SignalingError,
     ThreecptError,
@@ -360,24 +363,29 @@ def _addr(text: str) -> tuple:
     return host or "127.0.0.1", int(port)
 
 
-def _fps(text: str) -> float:
-    """An --fps value: positive and finite (--as-fast-as-possible turns pacing off)."""
-    fps = float(text)
-    if not (math.isfinite(fps) and fps > 0):
+def _positive(text: str) -> float:
+    """An --fps or --ttl-seconds value: positive and finite."""
+    value = float(text)
+    if not (math.isfinite(value) and value > 0):
         raise argparse.ArgumentTypeError(f"must be positive and finite, got {text!r}")
-    return fps
+    return value
 
 
-def _codec_error(p: argparse.ArgumentParser, value: str) -> int | None:
-    """EXIT_USAGE, after argparse's usage message, if value is not a valid
-    --codec; None if it is."""
+def _port(text: str) -> int:
+    """A TCP port number; 0 lets the system pick one."""
+    port = int(text)
+    if not 0 <= port <= 65535:
+        raise argparse.ArgumentTypeError(f"must be 0..65535, got {text!r}")
+    return port
+
+
+def _codec(text: str) -> str:
+    """A --codec value, as given, once parse_codec accepts it."""
     try:
-        parse_codec(value)
+        parse_codec(text)
     except ValueError as exc:
-        p.print_usage(sys.stderr)
-        print(f"{p.prog}: error: argument --codec: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    return None
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return text
 
 
 def gen_main(argv=None) -> int:
@@ -395,6 +403,10 @@ def gen_main(argv=None) -> int:
         hdr, frames = container.gen_synthetic(
             args.width, args.height, (args.fps, 1), args.frames, args.pattern, seed=args.seed
         )
+    except (DimensionError, ValueError) as exc:  # StreamHeader's bounds, or frames < 0
+        print(f"{p.prog}: error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    try:
         count = container.write_container(args.out, hdr, frames)
     except OSError as exc:
         print(f"cannot write {args.out}: {exc}", file=sys.stderr)
@@ -408,13 +420,11 @@ def send_main(argv=None) -> int:
     p.add_argument("--input", required=True, help=".rgbz container path")
     p.add_argument("--signal", type=_addr, required=True, help="signaling host:port")
     p.add_argument("--channel", type=int, required=True)
-    p.add_argument("--codec", default="ref", help="ref | external:<command>")
-    p.add_argument("--fps", type=_fps, default=None, help="override container fps")
+    p.add_argument("--codec", type=_codec, default="ref", help="ref | external:<command>")
+    p.add_argument("--fps", type=_positive, default=None, help="override container fps")
     p.add_argument("--as-fast-as-possible", action="store_true")
     p.add_argument("--suppress-background", type=float, default=None, metavar="DIOPTERS")
     args = p.parse_args(argv)
-    if (code := _codec_error(p, args.codec)) is not None:
-        return code
     cfg = SenderConfig(
         source=args.input,
         signal_addr=args.signal,
@@ -445,13 +455,11 @@ def recv_main(argv=None) -> int:
     p = argparse.ArgumentParser(prog="rgbz-recv", description="Receive a stream and feed the hologram sink")
     p.add_argument("--signal", type=_addr, required=True, help="signaling host:port")
     p.add_argument("--channel", type=int, required=True)
-    p.add_argument("--codec", default="ref", help="ref | external:<command>")
+    p.add_argument("--codec", type=_codec, default="ref", help="ref | external:<command>")
     p.add_argument("--resample", choices=("nearest", "bilinear"), default="nearest")
     p.add_argument("--dump-dir", default=None, help="write each replayed frame's planes here")
     p.add_argument("--latency-json", default=None)
     args = p.parse_args(argv)
-    if (code := _codec_error(p, args.codec)) is not None:
-        return code
     cfg = ReceiverConfig(
         signal_addr=args.signal,
         channel_id=args.channel,
@@ -484,9 +492,9 @@ def recv_main(argv=None) -> int:
 def relay_main(argv=None) -> int:
     p = argparse.ArgumentParser(prog="rgbz-relay", description="Run the signaling + relay service")
     p.add_argument("--host", default="127.0.0.1")
-    p.add_argument("--signal-port", type=int, default=43700)
-    p.add_argument("--relay-port", type=int, default=43701)
-    p.add_argument("--ttl-seconds", type=float, default=120.0)
+    p.add_argument("--signal-port", type=_port, default=43700)
+    p.add_argument("--relay-port", type=_port, default=43701)
+    p.add_argument("--ttl-seconds", type=_positive, default=120.0)
     p.add_argument("--max-channels", type=int, default=256)
     args = p.parse_args(argv)
     try:

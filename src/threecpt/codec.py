@@ -210,41 +210,25 @@ def ref_decode(au: EncodedAccessUnit, hdr: StreamHeader) -> Superframe:
 class FlushReport:
     frames_in: int = 0
     frames_out: int = 0
-    bytes_in: int = 0
     bytes_out: int = 0
     stderr: bytes = b""  # the child's last STDERR_TAIL_BYTES of stderr
 
 
-class _StdoutDrain(threading.Thread):
-    """Reads child stdout continuously so the feed side can't deadlock."""
+def _drain(pipe, keep) -> threading.Thread:
+    """Start a daemon thread that reads pipe until EOF, so the child can
+    never block on it full, handing each chunk to keep and then b"" at EOF."""
 
-    def __init__(self, pipe):
-        super().__init__(daemon=True)
-        self.pipe = pipe
-        self.chunks: queue.Queue = queue.Queue()
-
-    def run(self):
-        with self.pipe:
+    def run():
+        with pipe:
             # read1 returns whatever the pipe has; plain read would block
             # for the full 64 KiB and sit on short transcoder flushes
-            while chunk := self.pipe.read1(65536):
-                self.chunks.put(chunk)
-        self.chunks.put(None)  # EOF sentinel
+            while chunk := pipe.read1(65536):
+                keep(chunk)
+        keep(b"")
 
-
-class _StderrTail(threading.Thread):
-    """Reads child stderr while the child runs, keeping only the last
-    STDERR_TAIL_BYTES, so a chatty transcoder can't block on a full pipe."""
-
-    def __init__(self, pipe):
-        super().__init__(daemon=True)
-        self.pipe = pipe
-        self.tail = b""
-
-    def run(self):
-        with self.pipe:
-            while chunk := self.pipe.read1(65536):
-                self.tail = (self.tail + chunk)[-STDERR_TAIL_BYTES:]
+    thread = threading.Thread(target=run, daemon=True)
+    thread.start()
+    return thread
 
 
 class ExternalSession:
@@ -257,11 +241,11 @@ class ExternalSession:
     a decoder takes units' bytes and gives frames, and ``cat`` passes
     frames through unchanged.
 
-    Background threads drain the child's stdout and stderr, so a full pipe
-    can never deadlock the feed side or the child. Both readers return what
-    has arrived so far without blocking, or with ``wait=True`` everything
-    up to EOF (call close_input first); every wait for output is bounded by
-    ``timeout``.
+    One background thread drains each of the child's stdout and stderr, so
+    a full pipe can never deadlock the feed side or the child. frames and
+    units return what has arrived so far without blocking, or with
+    ``wait=True`` everything up to EOF (call close_input first); every wait
+    for output is bounded by ``timeout``.
     """
 
     def __init__(self, hdr: StreamHeader, command: str, timeout: float = 5.0):
@@ -270,6 +254,7 @@ class ExternalSession:
         self.timeout = timeout
         self.report = FlushReport()
         self._pending = bytearray()
+        self._chunks: queue.Queue = queue.Queue()  # stdout, then b"" at EOF
         self._closed = False
         self._eof = False
         try:
@@ -287,10 +272,10 @@ class ExternalSession:
             )
         except OSError as exc:
             raise TranscoderError(f"cannot spawn transcoder {command!r}: {exc}") from exc
-        self._drain = _StdoutDrain(self.child.stdout)
-        self._drain.start()
-        self._stderr = _StderrTail(self.child.stderr)
-        self._stderr.start()
+        self._drains = (
+            _drain(self.child.stdout, self._chunks.put),
+            _drain(self.child.stderr, self._keep_stderr),
+        )
 
     # --- feed side ---
 
@@ -314,7 +299,6 @@ class ExternalSession:
             self.child.stdin.flush()
         except (BrokenPipeError, OSError) as exc:
             raise TranscoderError(f"transcoder pipe broke: {self._diagnostics()}") from exc
-        self.report.bytes_in += len(data)
 
     def close_input(self) -> None:
         """Close the child's stdin so it can flush; output stays readable."""
@@ -330,17 +314,15 @@ class ExternalSession:
         queued, or with wait every chunk up to EOF."""
         while not self._eof:
             try:
-                chunk = self._drain.chunks.get(block=wait, timeout=self.timeout)
+                chunk = self._chunks.get(block=wait, timeout=self.timeout)
             except queue.Empty:
                 if wait:
                     raise TranscoderError(
                         f"transcoder output timed out: {self._diagnostics()}"
                     ) from None
                 return
-            if chunk is None:
-                self._eof = True
-            else:
-                self._pending.extend(chunk)
+            self._eof = not chunk
+            self._pending.extend(chunk)
 
     def frames(self, wait: bool = False) -> list[Superframe]:
         """Every complete raw superframe the child has output so far (with
@@ -384,9 +366,12 @@ class ExternalSession:
         self._pending.clear()
         return out
 
+    def _keep_stderr(self, chunk: bytes) -> None:
+        self.report.stderr = (self.report.stderr + chunk)[-STDERR_TAIL_BYTES:]
+
     def _diagnostics(self) -> str:
         code = self.child.poll()
-        return f"exit={code} stderr={self._stderr.tail[-500:]!r}"
+        return f"exit={code} stderr={self.report.stderr[-500:]!r}"
 
     # --- lifecycle ---
 
@@ -413,9 +398,8 @@ class ExternalSession:
         except subprocess.TimeoutExpired:
             self.child.kill()
             returncode = self.child.wait()
-        self._drain.join(self.timeout)
-        self._stderr.join(self.timeout)
-        self.report.stderr = self._stderr.tail
+        for drain in self._drains:
+            drain.join(self.timeout)
         if returncode != 0:
             raise TranscoderError(
                 f"transcoder exited {returncode}: {self.report.stderr[-2000:]!r}"

@@ -240,11 +240,11 @@ def gen_synthetic(
     and near; the background sits at a far plane. gradient-sweep: a color
     gradient sweeping horizontally with a vertical disparity ramp.
     """
-    if width <= 0 or height <= 0 or width % 2 or height % 2:
-        raise DimensionError(f"dimensions must be positive and even, got {width}x{height}")
+    hdr = StreamHeader(width=width, height=height, fps_num=fps[0], fps_den=fps[1], range=rng)
     if pattern not in PATTERNS:
         raise ValueError(f"unknown pattern {pattern!r}, choose from {PATTERNS}")
-    hdr = StreamHeader(width=width, height=height, fps_num=fps[0], fps_den=fps[1], range=rng)
+    if frames < 0:
+        raise ValueError(f"frame count must be non-negative, got {frames}")
     random = np.random.default_rng(seed)
     tint = random.integers(96, 256, size=3)  # per-stream sphere tint
     out = []

@@ -18,6 +18,9 @@ import numpy as np
 from .errors import DimensionError, RangeError, UnfillableError
 
 
+U16_MAX = 65535
+
+
 class Orientation(enum.Enum):
     """Quarter-turn device orientations (counterclockwise)."""
 
@@ -77,15 +80,6 @@ class ColorImage:
 
     def tobytes(self) -> bytes:
         return np.ascontiguousarray(self.data).tobytes()
-
-    @classmethod
-    def from_bytes(cls, raw: bytes, width: int, height: int) -> "ColorImage":
-        if len(raw) != width * height * 4:
-            raise DimensionError(
-                f"expected {width * height * 4} color bytes, got {len(raw)}"
-            )
-        arr = np.frombuffer(raw, dtype=np.uint8).reshape(height, width, 4)
-        return cls(arr.copy())
 
     @classmethod
     def from_rgb(cls, rgb: np.ndarray) -> "ColorImage":
@@ -185,12 +179,20 @@ class StreamHeader:
     pixel_format: PixelFormat = PixelFormat.RGB0_8
 
     def __post_init__(self):
-        if self.width <= 0 or self.height <= 0:
-            raise DimensionError("stream dimensions must be positive")
+        # the .rgbz, wire and REF unit headers store each of these as a u16
+        if not (0 < self.width <= U16_MAX and 0 < self.height <= U16_MAX):
+            raise DimensionError(
+                f"stream dimensions must be 1..{U16_MAX}, got {self.width}x{self.height}"
+            )
         if self.width % 2 or self.height % 2:
-            raise DimensionError("stream dimensions must be even")
-        if self.fps_num <= 0 or self.fps_den <= 0:
-            raise ValueError("fps must be a positive rational")
+            raise DimensionError(
+                f"stream dimensions must be even, got {self.width}x{self.height}"
+            )
+        if not (0 < self.fps_num <= U16_MAX and 0 < self.fps_den <= U16_MAX):
+            raise ValueError(
+                f"fps must be a rational of terms 1..{U16_MAX}, "
+                f"got {self.fps_num}/{self.fps_den}"
+            )
 
     @property
     def fps(self) -> float:

@@ -18,6 +18,8 @@ from pathlib import Path
 
 from .errors import ThreecptError
 
+CLOCK_NOTE = "same-host timestamps; no clock offset applied"
+
 
 class EmptyReportError(ThreecptError):
     """No latency samples were collected."""
@@ -26,7 +28,6 @@ class EmptyReportError(ThreecptError):
 @dataclass
 class LatencyReport:
     samples_us: list = field(default_factory=list)
-    clock_note: str = "same-host timestamps; no clock offset applied"
 
     def add(self, recv_wall_us: int, sender_timestamp_us: int) -> None:
         self.samples_us.append(recv_wall_us - sender_timestamp_us)
@@ -35,55 +36,37 @@ class LatencyReport:
     def count(self) -> int:
         return len(self.samples_us)
 
-    def _require_samples(self):
-        if not self.samples_us:
-            raise EmptyReportError("latency report has zero samples")
-
     @property
-    def min_us(self) -> float:
-        self._require_samples()
-        return min(self.samples_us)
-
-    @property
-    def max_us(self) -> float:
-        self._require_samples()
-        return max(self.samples_us)
+    def min_us(self) -> int:
+        return self.summary()["min_us"]
 
     @property
     def median_us(self) -> int:
-        self._require_samples()
-        ordered = sorted(self.samples_us)
-        n = len(ordered)
-        if n % 2:
-            return ordered[n // 2]
-        return (ordered[n // 2 - 1] + ordered[n // 2]) // 2
+        return self.summary()["median_us"]
 
     @property
-    def p95_us(self) -> float:
-        self._require_samples()
-        ordered = sorted(self.samples_us)
-        return ordered[math.ceil(0.95 * len(ordered)) - 1]
+    def p95_us(self) -> int:
+        return self.summary()["p95_us"]
+
+    @property
+    def max_us(self) -> int:
+        return self.summary()["max_us"]
 
     def summary(self) -> dict:
-        self._require_samples()
+        """count, min_us, median_us, p95_us and max_us, from one sort."""
+        ordered = sorted(self.samples_us)
+        n = len(ordered)
+        if not n:
+            raise EmptyReportError("latency report has zero samples")
+        mid = n // 2
         return {
-            "count": self.count,
-            "min_us": self.min_us,
-            "median_us": self.median_us,
-            "p95_us": self.p95_us,
-            "max_us": self.max_us,
+            "count": n,
+            "min_us": ordered[0],
+            "median_us": ordered[mid] if n % 2 else (ordered[mid - 1] + ordered[mid]) // 2,
+            "p95_us": ordered[math.ceil(0.95 * n) - 1],
+            "max_us": ordered[-1],
         }
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {"samples_us": self.samples_us, "clock_note": self.clock_note, **self.summary()},
-            indent=2,
-        )
-
     def write_json(self, path: str | Path) -> None:
-        Path(path).write_text(self.to_json() + "\n")
-
-    @classmethod
-    def from_json(cls, text: str) -> "LatencyReport":
-        obj = json.loads(text)
-        return cls(samples_us=list(obj["samples_us"]), clock_note=obj.get("clock_note", ""))
+        obj = {"samples_us": self.samples_us, "clock_note": CLOCK_NOTE, **self.summary()}
+        Path(path).write_text(json.dumps(obj, indent=2) + "\n")

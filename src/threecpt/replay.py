@@ -214,18 +214,13 @@ def sink_consume(
     if dump_dir is not None:
         dump_dir = Path(dump_dir)
         dump_dir.mkdir(parents=True, exist_ok=True)
-        _write_ppm(dump_dir / f"frame_{seq}.ppm", el[:, :, :3])
-        _write_pgm(dump_dir / f"frame_{seq}.pgm", el[:, :, 3])
+        _write_pnm(dump_dir / f"frame_{seq}.ppm", b"P6", el[:, :, :3])
+        _write_pnm(dump_dir / f"frame_{seq}.pgm", b"P5", el[:, :, 3])
     return SinkStats(nonzero_elements=int(nonzero), checksum_adler32=checksum)
 
 
-def _write_ppm(path: Path, rgb: np.ndarray) -> None:
+def _write_pnm(path: Path, magic: bytes, plane: np.ndarray) -> None:
+    """A binary PNM (magic P6 for an RGB plane, P5 for a gray one), maxval 255."""
     with open(path, "wb") as f:
-        f.write(b"P6\n%d %d\n255\n" % (rgb.shape[1], rgb.shape[0]))
-        f.write(np.ascontiguousarray(rgb).tobytes())
-
-
-def _write_pgm(path: Path, gray: np.ndarray) -> None:
-    with open(path, "wb") as f:
-        f.write(b"P5\n%d %d\n255\n" % (gray.shape[1], gray.shape[0]))
-        f.write(np.ascontiguousarray(gray).tobytes())
+        f.write(b"%s\n%d %d\n255\n" % (magic, plane.shape[1], plane.shape[0]))
+        f.write(np.ascontiguousarray(plane).tobytes())

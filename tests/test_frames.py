@@ -58,20 +58,27 @@ class TestColorImage:
         img = make_frame(3, 5).color
         assert len(img.tobytes()) == 3 * 5 * 4
 
-    def test_from_bytes_wrong_length(self):
-        with pytest.raises(DimensionError):
-            ColorImage.from_bytes(b"\x00" * 10, 2, 2)
-
 
 class TestStreamHeader:
     def test_defaults_match_source_format(self):
         hdr = StreamHeader()
         assert (hdr.width, hdr.height) == (640, 480)
 
-    @pytest.mark.parametrize("w,h", [(0, 480), (640, 0), (641, 480), (640, 481)])
+    @pytest.mark.parametrize(
+        "w,h", [(0, 480), (640, 0), (641, 480), (640, 481), (65536, 480), (640, 65536)]
+    )
     def test_rejects_odd_or_zero(self, w, h):
         with pytest.raises(DimensionError):
             StreamHeader(width=w, height=h)
+
+    @pytest.mark.parametrize("num,den", [(0, 1), (30, 0), (65536, 1), (30, 65536)])
+    def test_fps_terms_out_of_u16_rejected(self, num, den):
+        with pytest.raises(ValueError, match="fps"):
+            StreamHeader(fps_num=num, fps_den=den)
+
+    def test_u16_limits_accepted(self):
+        hdr = StreamHeader(width=65534, height=65534, fps_num=65535, fps_den=65535)
+        assert (hdr.width, hdr.fps) == (65534, 1.0)
 
 
 class TestQuantize:

@@ -34,7 +34,7 @@ class TestSerialization:
         path = tmp_path / "lat.json"
         r.write_json(path)
         obj = json.loads(path.read_text())
-        again = LatencyReport.from_json(path.read_text())
+        again = LatencyReport(samples_us=obj["samples_us"])
         assert again.samples_us == r.samples_us
         assert obj["median_us"] == again.median_us == 300
         assert obj["p95_us"] == 500
@@ -51,3 +51,24 @@ class TestSerialization:
         assert s["min_us"] == ordered[0]
         assert s["max_us"] == ordered[-1]
         assert s["p95_us"] == ordered[284]  # ceil(0.95*300)-1
+
+    def test_write_json_layout(self, tmp_path):
+        path = tmp_path / "lat.json"
+        LatencyReport(samples_us=[300, 100, 200, 500, 400]).write_json(path)
+        assert path.read_text() == (
+            "{\n"
+            '  "samples_us": [\n'
+            "    300,\n"
+            "    100,\n"
+            "    200,\n"
+            "    500,\n"
+            "    400\n"
+            "  ],\n"
+            '  "clock_note": "same-host timestamps; no clock offset applied",\n'
+            '  "count": 5,\n'
+            '  "min_us": 100,\n'
+            '  "median_us": 300,\n'
+            '  "p95_us": 500,\n'
+            '  "max_us": 500\n'
+            "}\n"
+        )

@@ -288,6 +288,14 @@ class TestEndToEnd:
             "frame_1.pgm",
             "frame_1.ppm",
         ]
+        # each file is a binary PNM of one plane of the frame's SLM buffer
+        for seq, frame in enumerate(fs):
+            el = replay.prepare_for_replay(frame, hdr.range, "nearest").elements
+            for name, magic, plane in (("ppm", b"P6", el[:, :, :3]), ("pgm", b"P5", el[:, :, 3])):
+                raw = (dump / f"frame_{seq}.{name}").read_bytes()
+                kind, size, maxval, body = raw.split(b"\n", 3)
+                assert (kind, size, maxval) == (magic, b"2048 2048", b"255")
+                assert body == plane.tobytes()
 
 
 class TestReplayStage:
@@ -524,6 +532,44 @@ class TestCliMains:
         hdr, frames = container.read_container(out)
         assert len(list(frames)) == 4 and hdr.width == 32
 
+    @pytest.mark.parametrize(
+        "flag,value",
+        [
+            ("--width", "3"),
+            ("--height", "0"),
+            ("--width", "70000"),
+            ("--height", "70000"),
+            ("--fps", "0"),
+            ("--fps", "70000"),
+            ("--frames", "-2"),
+        ],
+    )
+    def test_gen_main_bad_argument_is_usage_error(self, flag, value, tmp_path, capsys):
+        out = tmp_path / "gen.rgbz"
+        args = ["--width", "32", "--height", "24", "--frames", "1", flag, value]
+        code = cli.gen_main([*args, "--out", str(out)])
+        assert code == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("rgbz-gen: error: ") and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flag,value",
+        [
+            ("--signal-port", "70000"),
+            ("--relay-port", "-1"),
+            ("--ttl-seconds", "0"),
+            ("--ttl-seconds", "nan"),
+        ],
+    )
+    def test_relay_main_out_of_range_is_usage_error(self, flag, value, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.relay_main([flag, value])
+        assert exc.value.code == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("usage: rgbz-relay") and f"argument {flag}" in err
+        assert "Traceback" not in err
+
     def test_send_main_missing_source_exit_code(self, server):
         code = cli.send_main(
             [
@@ -580,12 +626,13 @@ class TestCliMains:
     def test_bad_codec_is_usage_error(self, role, value, tmp_path, capsys):
         # the signaling port is closed: reaching it would exit 3, not 2
         args = ["--signal", f"127.0.0.1:{closed_port()}", "--channel", "9", "--codec", value]
-        if role == "send":
-            path, _ = write_stream(tmp_path, frames=1)
-            code = cli.send_main(["--input", str(path), *args])
-        else:
-            code = cli.recv_main(args)
-        assert code == cli.EXIT_USAGE
+        with pytest.raises(SystemExit) as exc:
+            if role == "send":
+                path, _ = write_stream(tmp_path, frames=1)
+                cli.send_main(["--input", str(path), *args])
+            else:
+                cli.recv_main(args)
+        assert exc.value.code == cli.EXIT_USAGE
         err = capsys.readouterr().err
         assert err.startswith(f"usage: rgbz-{role}")
         assert "argument --codec" in err
