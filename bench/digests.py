@@ -7,8 +7,8 @@ cli.run_sender -> relay.RelayServer -> cli.run_receiver, as fast as possible
 each over the whole session:
 
   units   every payload codec.ref_encode returns (none for external:cat);
-  wire    every sendall of the sender, one packet each, with the packet
-          header's timestamp field zeroed. For external:cat it covers only
+  wire    every sendmsg call of the sender, its buffers joined into one
+          packet, with the packet header's timestamp field zeroed. For external:cat it covers only
           the access-unit bodies after their 2-byte unit prefix (codec id
           and flags), since where cat's pipe reads split the stream decides
           where the units and so their packets end;
@@ -107,9 +107,9 @@ class TappedSocket:
         self._conn = conn
         self._record = record
 
-    def sendall(self, data):
-        self._record(data)
-        self._conn.sendall(data)
+    def sendmsg(self, buffers):
+        self._record(b"".join(buffers))
+        return self._conn.sendmsg(buffers)
 
     def __getattr__(self, name):
         return getattr(self._conn, name)

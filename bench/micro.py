@@ -126,9 +126,14 @@ def stages(hdr: StreamHeader, frame: RgbzFrame) -> dict:
     sf = pack_superframe(frame)
     au = codec.ref_encode(sf)
     work = codec.ref_work(hdr.width, hdr.height)
-    discard = SimpleNamespace(sendall=lambda data: None)
+    discard = SimpleNamespace(sendmsg=lambda buffers: sum(map(len, buffers)))
     packets = []
-    transport.send_stream(SimpleNamespace(sendall=packets.append), hdr, [(au, 0)])
+
+    def record(buffers):
+        packets.append(b"".join(buffers))
+        return len(packets[-1])
+
+    transport.send_stream(SimpleNamespace(sendmsg=record), hdr, [(au, 0)])
     wire = packets[1]  # between the stream header and the end of stream
     chunks = [wire[i : i + CHUNK] for i in range(0, len(wire), CHUNK)]
 

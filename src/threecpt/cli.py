@@ -6,16 +6,22 @@ module loads only the relay and the standard library; the numpy pipeline is
 loaded when the sender, the receiver or rgbz-gen first runs, so rgbz-relay
 never loads it.
 
+threecpt calls no BLAS routine, so rgbz-gen, rgbz-send and rgbz-recv set
+OPENBLAS_NUM_THREADS to 1 before numpy is first imported, unless it is set
+already: OpenBLAS then starts no idle worker thread. (Child processes, such
+as an external codec, inherit the setting.) run_sender and run_receiver
+leave the environment alone.
+
 rgbz-recv replays only 640x480 streams. It still receives and decodes a
-stream of any other size, and says once on stderr that its frames are not
-replayed, and why.
+stream of any other size up to 2048x1024, and says once on stderr that its
+frames are not replayed, and why.
 
 Exit codes: 0 success, 2 source error or a bad argument to any endpoint
 (rgbz-gen: also a frame size or fps outside the stream header's bounds;
 rgbz-recv: also a --dump-dir or --latency-json it cannot write), 3
 signaling error, 4 relay/transport error (also a connection that fails
-mid-stream), 5 protocol desync, 6 (rgbz-recv) a frame failed SLM buffer
-validation.
+mid-stream), 5 protocol desync (rgbz-recv: also a stream larger than
+2048x1024 pixels), 6 (rgbz-recv) a frame failed SLM buffer validation.
 """
 
 from __future__ import annotations
@@ -25,6 +31,7 @@ import contextlib
 import importlib
 import json
 import math
+import os
 import queue
 import shlex
 import socket
@@ -84,6 +91,13 @@ def _load_pipeline():
         if name not in globals():
             value = importlib.import_module(f"{__package__}.{module or name}")
             globals()[name] = value if module is None else getattr(value, name)
+
+
+def _one_blas_thread():
+    """Ask OpenBLAS for no worker threads, unless the caller has chosen a
+    count or numpy is loaded already (when it would be too late)."""
+    if "numpy" not in sys.modules:
+        os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 
 def __getattr__(name):
@@ -359,8 +373,9 @@ def run_receiver(cfg: ReceiverConfig) -> tuple[ReceiverReport, LatencyReport]:
 
 
 def _addr(text: str) -> tuple:
+    """A --signal host:port value; the host defaults to 127.0.0.1."""
     host, _, port = text.rpartition(":")
-    return host or "127.0.0.1", int(port)
+    return host or "127.0.0.1", _port(port)
 
 
 def _positive(text: str) -> float:
@@ -368,6 +383,14 @@ def _positive(text: str) -> float:
     value = float(text)
     if not (math.isfinite(value) and value > 0):
         raise argparse.ArgumentTypeError(f"must be positive and finite, got {text!r}")
+    return value
+
+
+def _at_least_one(text: str) -> int:
+    """A --max-channels value: an integer of at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {text!r}")
     return value
 
 
@@ -389,6 +412,7 @@ def _codec(text: str) -> str:
 
 
 def gen_main(argv=None) -> int:
+    _one_blas_thread()
     _load_pipeline()
     p = argparse.ArgumentParser(prog="rgbz-gen", description="Render a synthetic .rgbz container")
     p.add_argument("--width", type=int, default=640)
@@ -416,6 +440,7 @@ def gen_main(argv=None) -> int:
 
 
 def send_main(argv=None) -> int:
+    _one_blas_thread()
     p = argparse.ArgumentParser(prog="rgbz-send", description="Stream an .rgbz container through the relay")
     p.add_argument("--input", required=True, help=".rgbz container path")
     p.add_argument("--signal", type=_addr, required=True, help="signaling host:port")
@@ -452,6 +477,7 @@ def send_main(argv=None) -> int:
 
 
 def recv_main(argv=None) -> int:
+    _one_blas_thread()
     p = argparse.ArgumentParser(prog="rgbz-recv", description="Receive a stream and feed the hologram sink")
     p.add_argument("--signal", type=_addr, required=True, help="signaling host:port")
     p.add_argument("--channel", type=int, required=True)
@@ -495,7 +521,7 @@ def relay_main(argv=None) -> int:
     p.add_argument("--signal-port", type=_port, default=43700)
     p.add_argument("--relay-port", type=_port, default=43701)
     p.add_argument("--ttl-seconds", type=_positive, default=120.0)
-    p.add_argument("--max-channels", type=int, default=256)
+    p.add_argument("--max-channels", type=_at_least_one, default=256)
     args = p.parse_args(argv)
     try:
         server = relay.RelayServer(

@@ -41,7 +41,7 @@ import numpy as np
 
 from .errors import AdapterError, BitstreamError, TranscoderError
 from .frames import StreamHeader
-from .superframe import Superframe, superframe_byte_size
+from .superframe import HEADROOM, Superframe, headroom, superframe_byte_size
 
 REF_MAGIC = 0x52  # run-length body
 REF_STORED = 0x53  # the superframe bytes verbatim
@@ -64,7 +64,8 @@ class CodecId(enum.Enum):
 @dataclass(frozen=True)
 class EncodedAccessUnit:
     """One encoded frame's worth of bitstream. The payload is bytes-like: a
-    received unit's is a memoryview on its packet's payload."""
+    received unit's is a memoryview on its packet's payload, and so is a
+    stored unit's on its packed superframe (see ref_encode)."""
 
     codec_id: CodecId
     flags: int
@@ -127,6 +128,11 @@ def ref_encode(sf: Superframe, work: np.ndarray | None = None) -> EncodedAccessU
     without it the call allocates its own. Its contents on entry never
     change the unit, and nothing in the unit refers to it. Work of another
     size or dtype is a ValueError.
+
+    A stored unit of a superframe from pack_superframe is a read-only view
+    on the superframe's memory: its header is written into the superframe's
+    headroom, so the superframe must stay unchanged while the unit is in
+    use. A superframe laid out any other way is copied into a stored unit.
     """
     data = np.ascontiguousarray(sf.data)
     size = data.nbytes
@@ -146,14 +152,17 @@ def ref_encode(sf: Superframe, work: np.ndarray | None = None) -> EncodedAccessU
     change = work[size + 1 :].view(np.bool_)
     np.not_equal(resid[1:], resid[:-1], out=change)
     body = _rle_encode(resid, change, size)
-    tag = REF_MAGIC
-    if body is None:
-        tag, body = REF_STORED, data
-    return EncodedAccessUnit(
-        codec_id=CodecId.REF_LOSSLESS,
-        flags=FLAG_KEYFRAME,
-        payload=b"".join((REF_HEADER.pack(tag, sf.width, sf.height // 2), body)),
-    )
+    if body is not None:
+        payload = b"".join((REF_HEADER.pack(REF_MAGIC, sf.width, sf.height // 2), body))
+    elif (room := headroom(sf)) is not None:
+        # the header goes into the bytes in front of the data, so the unit
+        # is a view on the superframe
+        unit = room[HEADROOM - REF_HEADER.size :]
+        REF_HEADER.pack_into(unit, 0, REF_STORED, sf.width, sf.height // 2)
+        payload = memoryview(unit).toreadonly()
+    else:
+        payload = b"".join((REF_HEADER.pack(REF_STORED, sf.width, sf.height // 2), data))
+    return EncodedAccessUnit(codec_id=CodecId.REF_LOSSLESS, flags=FLAG_KEYFRAME, payload=payload)
 
 
 def ref_decode(au: EncodedAccessUnit, hdr: StreamHeader) -> Superframe:

@@ -19,6 +19,11 @@ import numpy as np
 from .errors import DimensionError, FormatError
 from .frames import ColorImage, DepthMap, RgbzFrame, StreamHeader
 
+# bytes pack_superframe allocates in front of each superframe's data, for an
+# encoder to write a unit header into (codec.ref_encode's stored unit); 8
+# keeps the data 8-byte aligned
+HEADROOM = 8
+
 
 @dataclass(frozen=True)
 class Superframe:
@@ -66,14 +71,36 @@ def superframe_byte_size(width: int, height: int) -> int:
     return width * height * 2 * 4
 
 
+def headroom(sf: Superframe) -> np.ndarray | None:
+    """The one-dimensional uint8 buffer of HEADROOM bytes and then sf's
+    data, as pack_superframe allocates it, or None for a superframe laid
+    out any other way (one a caller builds from an array). The HEADROOM
+    bytes belong to the superframe and hold nothing, so a writer may fill
+    them."""
+    data, base = sf.data, sf.data.base
+    if not (
+        isinstance(base, np.ndarray)
+        and base.ndim == 1
+        and base.dtype == np.uint8
+        and base.flags.writeable
+        and data.flags.c_contiguous
+        and base.nbytes == HEADROOM + data.nbytes
+        and data.ctypes.data == base.ctypes.data + HEADROOM
+    ):
+        return None
+    return base
+
+
 def pack_superframe(frame: RgbzFrame) -> Superframe:
     """Stack a frame into its codec-facing superframe.
 
     Top half: color RGB0 bytes verbatim. Bottom half: the depth code in
-    R, G, and B with the pad byte zero.
+    R, G, and B with the pad byte zero. The data sits HEADROOM bytes into a
+    fresh buffer (see headroom).
     """
     h, w = frame.height, frame.width
-    data = np.empty((2 * h, w, 4), dtype=np.uint8)
+    buf = np.empty(HEADROOM + superframe_byte_size(w, h), dtype=np.uint8)
+    data = buf[HEADROOM:].reshape(2 * h, w, 4)
     data[:h] = frame.color.data
     # whole little-endian elements: code * 0x010101 is bytes (code, code, code, 0)
     np.multiply(frame.depth.codes, 0x010101, out=data[h:].view("<u4")[:, :, 0], dtype=np.uint32)

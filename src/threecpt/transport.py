@@ -21,6 +21,7 @@ from .errors import (
     VersionError,
 )
 from .frames import DisparityRange, PixelFormat, StreamHeader
+from .superframe import superframe_byte_size
 
 MAGIC = b"3CPT"
 VERSION = 2
@@ -34,6 +35,10 @@ FLAG_KEYFRAME = 0x0001
 MAX_PAYLOAD = 64 * 1024 * 1024  # sanity bound
 
 RECV_SIZE = 65536  # bytes a receiver asks of its socket per recv
+
+# the largest superframe a receiver takes, that of a 2048x1024 stream: the
+# 16 MiB of replay.SLM_BUFFER_BYTES. Receiver policy, not part of the format
+MAX_SUPERFRAME_BYTES = 16 * 1024 * 1024
 
 HEADER = struct.Struct(">4sBBHQQQI")
 HEADER_SIZE = HEADER.size  # 36
@@ -83,16 +88,11 @@ class FramePacket:
 
 
 def encode_packet(packet: FramePacket) -> bytes:
-    return _packet(packet.header, packet.payload)
-
-
-def _packet(header: PacketHeader, *parts) -> bytes:
-    """The packet of header and the payload that parts make up, joined with
-    one copy of each part."""
-    size = sum(map(len, parts))
-    if header.payload_len != size:
-        raise FormatError(f"header says {header.payload_len} payload bytes, got {size}")
-    return b"".join((header.pack(), *parts))
+    """The packet's bytes: its header, then its payload."""
+    size = len(packet.payload)
+    if packet.header.payload_len != size:
+        raise FormatError(f"header says {packet.header.payload_len} payload bytes, got {size}")
+    return packet.header.pack() + packet.payload
 
 
 class PacketDecoder:
@@ -206,38 +206,55 @@ class EndReport:
     truncated: bool = False
 
 
+def _send_buffers(conn, buffers: list[memoryview]) -> None:
+    """Write the byte views in buffers to conn in order, with conn.sendmsg,
+    until the kernel has taken them all; a partial send is resumed where it
+    stopped, on a view of the rest."""
+    buffers = [b for b in buffers if len(b)]
+    while buffers:
+        sent = conn.sendmsg(buffers)
+        while buffers and sent >= len(buffers[0]):
+            sent -= len(buffers[0])
+            buffers.pop(0)
+        if sent:
+            buffers[0] = buffers[0][sent:]
+
+
 def send_stream(conn, hdr: StreamHeader, units, channel_id: int = 0) -> SendReport:
     """Send STREAM_HEADER, one ACCESS_UNIT per (unit, timestamp_us), then
-    END_OF_STREAM. Blocks on socket backpressure (bounded memory)."""
+    END_OF_STREAM. Blocks on socket backpressure (bounded memory). Each
+    packet goes to conn in one sendmsg call of two buffers (more calls only
+    when the kernel takes part of it): the packet header with the unit's
+    prefix, then the unit's payload, which is not copied."""
     report = SendReport()
 
-    def _send(ptype, parts, seq=0, timestamp_us=0, flags=0):
-        # parts make up the payload, so each is copied once, into the packet
-        payload_len = sum(map(len, parts))
-        wire = _packet(
-            PacketHeader(ptype, flags, channel_id, seq, timestamp_us, payload_len), *parts
-        )
+    def _send(ptype, prefix, body=b"", seq=0, timestamp_us=0, flags=0):
+        # the header and prefix are joined; the body goes to the kernel as it is
+        body = memoryview(body).cast("B")
+        payload_len = len(prefix) + len(body)
+        head = PacketHeader(ptype, flags, channel_id, seq, timestamp_us, payload_len).pack()
         try:
-            conn.sendall(wire)
+            _send_buffers(conn, [memoryview(head + prefix), body])
         except OSError as exc:
             raise TransportError(
                 f"connection failed after seq {report.last_seq}: {exc}"
             ) from exc
         report.packets_sent += 1
-        report.bytes_sent += len(wire)
+        report.bytes_sent += HEADER_SIZE + payload_len
         report.payload_bytes += payload_len
         return payload_len
 
-    _send(PTYPE_STREAM_HEADER, (serialize_stream_header(hdr),))
+    _send(PTYPE_STREAM_HEADER, serialize_stream_header(hdr))
     seq = 0
     for au, timestamp_us in units:
         flags = FLAG_KEYFRAME if au.keyframe else 0
-        parts = (_unit_prefix(au), au.payload)
-        report.unit_payload_bytes += _send(PTYPE_ACCESS_UNIT, parts, seq, timestamp_us, flags)
+        report.unit_payload_bytes += _send(
+            PTYPE_ACCESS_UNIT, _unit_prefix(au), au.payload, seq, timestamp_us, flags
+        )
         report.last_seq = seq
         report.units_sent += 1
         seq += 1
-    _send(PTYPE_END_OF_STREAM, (), seq)
+    _send(PTYPE_END_OF_STREAM, b"", seq=seq)
     return report
 
 
@@ -257,6 +274,10 @@ def _read_packets(conn):
 class StreamReceiver:
     """Receives one stream: header first, then access units in seq order.
 
+    A header that declares a superframe over MAX_SUPERFRAME_BYTES raises
+    SanityError before any unit is read, so no peer sizes what the receiver
+    allocates beyond that.
+
     Sequence gaps are counted in the end report, not fatal (TCP preserves
     order; gaps can only come from sender-side drops). The report is
     complete once units() is exhausted. A failed connection raises
@@ -274,6 +295,12 @@ class StreamReceiver:
                 f"expected STREAM_HEADER first, got ptype {packet.header.ptype}"
             )
         self.header: StreamHeader = deserialize_stream_header(packet.payload)
+        size = superframe_byte_size(self.header.width, self.header.height)
+        if size > MAX_SUPERFRAME_BYTES:
+            raise SanityError(
+                f"stream header declares {self.header.width}x{self.header.height}, a "
+                f"{size}-byte superframe; this receiver takes at most {MAX_SUPERFRAME_BYTES}"
+            )
 
     def units(self):
         """Yield (PacketHeader, EncodedAccessUnit) until end of stream."""

@@ -109,6 +109,20 @@ class TestRefCodec:
         assert au.payload[0] == 0x52
         assert ref_decode(au, hdr) == sf
 
+    def test_stored_unit_shares_the_packed_superframe(self):
+        sf = random_superframe(16, 10, seed=5)
+        au = ref_encode(sf)
+        assert au.payload[0] == 0x53 and au.payload.readonly
+        assert np.shares_memory(np.frombuffer(au.payload, dtype=np.uint8), sf.data)
+        assert ref_decode(au, hdr_of(sf)) == sf
+
+    def test_caller_built_superframe_is_copied_to_identical_bytes(self):
+        packed = random_superframe(16, 10, seed=5)
+        built = Superframe(packed.data.copy())
+        au = ref_encode(built)
+        assert not np.shares_memory(np.frombuffer(au.payload, dtype=np.uint8), built.data)
+        assert au.payload == ref_encode(packed).payload
+
     def test_noise_full_frame_is_stored_at_raw_size(self):
         sf = random_superframe(640, 480, seed=7)
         au = ref_encode(sf)
@@ -132,7 +146,7 @@ class TestRefCodec:
         for sf in both_branches(4, 4, seed=4):
             au = ref_encode(sf)
             # declare a larger frame than the body holds, in a stream of that size
-            tampered = au.payload[:1] + bytes([0, 8, 0, 8]) + au.payload[5:]
+            tampered = bytes(au.payload[:1]) + bytes([0, 8, 0, 8]) + au.payload[5:]
             with pytest.raises(BitstreamError, match="needs 512 bytes"):
                 ref_decode(
                     EncodedAccessUnit(CodecId.REF_LOSSLESS, au.flags, tampered),

@@ -2,9 +2,12 @@
 
 Whatever arrives, only a ThreecptError may escape; the reference decoder
 also may not allocate more than the frame its stream header declares
-allows, and the container reader nothing a header's frame count asks for.
+allows, a receiver nothing beyond the largest superframe it takes whatever
+the header declares, and the container reader nothing a header's frame
+count asks for.
 """
 
+import io
 import itertools
 import struct
 import tempfile
@@ -32,10 +35,20 @@ from threecpt.superframe import Superframe
 from threecpt.transport import (
     HEADER,
     MAGIC,
+    MAX_SUPERFRAME_BYTES,
+    PTYPE_ACCESS_UNIT,
+    PTYPE_END_OF_STREAM,
+    PTYPE_STREAM_HEADER,
     VERSION,
+    FramePacket,
     PacketDecoder,
+    PacketHeader,
+    StreamReceiver,
     deserialize_access_unit,
     deserialize_stream_header,
+    encode_packet,
+    serialize_access_unit,
+    serialize_stream_header,
 )
 
 MIB = 1024 * 1024
@@ -135,6 +148,48 @@ class TestRefDecode:
             tracemalloc.stop()
         declared = hdr.width * 2 * hdr.height * 4  # the stream's superframe bytes
         assert peak < 2 * declared + MIB
+
+
+def zero_unit_stream(hdr: StreamHeader) -> bytes:
+    """The wire of a stream of hdr with one REF unit: for a superframe of up
+    to 64 MiB, all-zero runs that decode to it, else a few runs."""
+    size = hdr.width * 2 * hdr.height * 4
+    full, rest = divmod(size, 255) if size <= 64 * MIB else (8, 0)
+    body = bytes([255, 0]) * full + (bytes([rest, 0]) if rest else b"")
+    au = ref_unit(REF_HEADER.pack(REF_MAGIC, hdr.width, hdr.height) + body)
+    packets = [
+        (PTYPE_STREAM_HEADER, serialize_stream_header(hdr)),
+        (PTYPE_ACCESS_UNIT, serialize_access_unit(au)),
+        (PTYPE_END_OF_STREAM, b""),
+    ]
+    return b"".join(
+        encode_packet(FramePacket(PacketHeader(ptype, payload_len=len(p)), p))
+        for ptype, p in packets
+    )
+
+
+class TestStreamHeaderBound:
+    @given(st.builds(StreamHeader, width=stream_dims, height=stream_dims))
+    @example(StreamHeader(width=2048, height=1024))  # the largest taken
+    @example(StreamHeader(width=2048, height=1026))
+    @example(StreamHeader(width=32766, height=16384))
+    @settings(max_examples=100, deadline=None)
+    def test_receiver_allocates_under_one_bound_whatever_the_header(self, hdr):
+        wire = zero_unit_stream(hdr)
+        conn = io.BytesIO(wire)
+        conn.recv = conn.read
+        accepted = hdr.width * hdr.height <= 2048 * 1024
+        event("accepted" if accepted else "rejected")
+        tracemalloc.start()
+        try:
+            receiver = decode_or_typed_error(StreamReceiver, conn)
+            for _, au in receiver.units() if receiver else ():
+                ref_decode(au, receiver.header)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (receiver is not None) == accepted
+        assert peak < 2 * MAX_SUPERFRAME_BYTES + len(wire) + MIB
 
 
 def rle_body(stream: bytes) -> bytes:

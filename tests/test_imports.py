@@ -152,6 +152,37 @@ def test_relay_falls_back_to_public_compare():
     assert proc.stdout.strip() == "ok"
 
 
+# Runs in a fresh child: rgbz-send on a missing clip fails (exit 2) after it
+# has loaded the pipeline; then the threads the process has, and the
+# OpenBLAS thread count it left set.
+SEND_MISSING_CLIP = """
+import os, sys
+from threecpt import cli
+
+code = cli.send_main(["--input", sys.argv[1], "--signal", "127.0.0.1:9", "--channel", "1"])
+assert "numpy" in sys.modules
+print(code, len(os.listdir("/proc/self/task")), os.environ["OPENBLAS_NUM_THREADS"])
+"""
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc")
+@pytest.mark.parametrize("chosen", [None, "2"], ids=["default", "caller-set"])
+def test_endpoint_loads_numpy_with_one_blas_thread(chosen, tmp_path):
+    env = child_env()
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if chosen is not None:
+        env["OPENBLAS_NUM_THREADS"] = chosen
+    proc = subprocess.run(
+        [sys.executable, "-c", SEND_MISSING_CLIP, str(tmp_path / "missing.rgbz")],
+        env=env, capture_output=True, text=True, timeout=30,
+    )
+    assert proc.returncode == 0, proc.stderr
+    code, tasks, blas = proc.stdout.split()
+    assert code == "2" and blas == (chosen or "1")
+    if chosen is None:
+        assert tasks == "1"
+
+
 # Runs in a fresh child, so the pipeline names are patched on cli before cli
 # has bound any of them: the sender and receiver must call the patched ones.
 PATCHED_FIRST = """

@@ -1,5 +1,6 @@
 """Loopback integration tests for the sender/receiver endpoints."""
 
+import contextlib
 import itertools
 import json
 import shutil
@@ -570,6 +571,26 @@ class TestCliMains:
         assert err.startswith("usage: rgbz-relay") and f"argument {flag}" in err
         assert "Traceback" not in err
 
+    def test_relay_main_no_channels_is_one_usage_line(self, capsys):
+        for value in ("0", "-3"):
+            with pytest.raises(SystemExit) as exc:
+                cli.relay_main(["--max-channels", value])
+            assert exc.value.code == cli.EXIT_USAGE
+            err = capsys.readouterr().err
+            assert [line for line in err.splitlines() if "error" in line] == [
+                f"rgbz-relay: error: argument --max-channels: must be at least 1, got '{value}'"
+            ]
+
+    @pytest.mark.parametrize("main", [cli.send_main, cli.recv_main], ids=["send", "recv"])
+    @pytest.mark.parametrize("port", ["70000", "-1", ""])
+    def test_signal_port_out_of_range_is_usage_error(self, main, port, tmp_path, capsys):
+        path, _ = write_stream(tmp_path, frames=1)
+        args = ["--signal", f"127.0.0.1:{port}", "--channel", "1"]
+        with pytest.raises(SystemExit) as exc:
+            main(["--input", str(path), *args] if main is cli.send_main else args)
+        assert exc.value.code == cli.EXIT_USAGE
+        assert "argument --signal" in capsys.readouterr().err
+
     def test_send_main_missing_source_exit_code(self, server):
         code = cli.send_main(
             [
@@ -735,6 +756,35 @@ class TestCliMains:
         assert code == cli.EXIT_USAGE
         err = capsys.readouterr().err
         assert err.startswith("cannot write output: ") and err.count("\n") == 1
+        assert wait_until(lambda: not new_threads(before))
+
+    def test_recv_main_stream_header_over_the_bound_is_desync(self, capsys):
+        # all-zero runs declaring a 4 GiB superframe; the receiver may read none
+        huge = StreamHeader(width=32766, height=16384)
+        payload = codec.REF_HEADER.pack(codec.REF_MAGIC, 32766, 16384) + bytes([255, 0]) * 64
+        au = codec.EncodedAccessUnit(codec.CodecId.REF_LOSSLESS, codec.FLAG_KEYFRAME, payload)
+
+        def send(conn):
+            # the receiver may close before the unit is written
+            with contextlib.suppress(TransportError):
+                transport.send_stream(conn, huge, [(au, 0)])
+
+        before = set(threading.enumerate())
+        grant, relay_t = fake_relay(send)
+        (host, port), signal_t = fake_signaling(grant)
+        tracemalloc.start()
+        try:
+            code = cli.recv_main(["--signal", f"{host}:{port}", "--channel", "9"])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        for t in (relay_t, signal_t):
+            t.join(timeout=5)
+        assert code == cli.EXIT_DESYNC
+        err = capsys.readouterr().err
+        assert err.startswith("protocol desync: stream header declares 32766x16384")
+        assert "Traceback" not in err
+        assert peak < 4 * 1024 * 1024
         assert wait_until(lambda: not new_threads(before))
 
     def test_recv_main_wire_version_mismatch_is_desync(self):

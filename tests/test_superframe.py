@@ -6,7 +6,9 @@ from hypothesis import strategies as st
 from threecpt.errors import DimensionError, FormatError
 from threecpt.frames import ColorImage, DepthMap, RgbzFrame, StreamHeader
 from threecpt.superframe import (
+    HEADROOM,
     Superframe,
+    headroom,
     pack_superframe,
     superframe_byte_size,
     unpack_superframe,
@@ -57,6 +59,26 @@ class TestPack:
         frame = make_frame(10, 6)
         sf = pack_superframe(frame)
         assert len(sf.tobytes()) == superframe_byte_size(10, 6)
+
+    def test_data_sits_headroom_bytes_into_its_buffer(self):
+        sf = pack_superframe(make_frame(10, 6))
+        buf = headroom(sf)
+        assert buf.nbytes == HEADROOM + sf.data.nbytes
+        assert np.shares_memory(buf[HEADROOM:], sf.data)
+        assert sf.data.ctypes.data % 8 == 0
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            np.zeros((12, 10, 4), dtype=np.uint8),
+            np.zeros(HEADROOM + 480, dtype=np.uint8)[HEADROOM:].reshape(12, 10, 4)[:, ::2],
+            np.zeros(HEADROOM + 481, dtype=np.uint8)[HEADROOM:-1].reshape(12, 10, 4),
+            np.zeros(HEADROOM - 1 + 480, dtype=np.uint8)[HEADROOM - 1 :].reshape(12, 10, 4),
+        ],
+        ids=["own-memory", "strided", "bytes-after", "short-headroom"],
+    )
+    def test_other_layouts_have_no_headroom(self, data):
+        assert headroom(Superframe(data)) is None
 
 
 class TestUnpack:

@@ -17,11 +17,13 @@ from threecpt.errors import (
     VersionError,
 )
 from threecpt.frames import StreamHeader
+from threecpt.replay import SLM_BUFFER_BYTES
 from threecpt.superframe import pack_superframe
 from threecpt.transport import (
     FLAG_KEYFRAME,
     HEADER_SIZE,
     MAX_PAYLOAD,
+    MAX_SUPERFRAME_BYTES,
     PTYPE_ACCESS_UNIT,
     PTYPE_END_OF_STREAM,
     PTYPE_STREAM_HEADER,
@@ -107,13 +109,17 @@ class TestPacketLayout:
 
 
 class Recorder:
-    """Socket stand-in for send_stream: keeps a copy of each buffer it is sent."""
+    """Socket stand-in for send_stream: keeps the bytes of each sendmsg
+    call, joined, and takes at most limit bytes of a call."""
 
-    def __init__(self):
+    def __init__(self, limit=None):
         self.sent = []
+        self.limit = limit
 
-    def sendall(self, data):
-        self.sent.append(bytes(data))
+    def sendmsg(self, buffers):
+        data = b"".join(buffers)[: self.limit]
+        self.sent.append(data)
+        return len(data)
 
 
 class TestSendFraming:
@@ -153,14 +159,24 @@ class TestSendFraming:
             last_seq=0,
         )
 
-    def test_stored_unit_is_framed_with_one_copy(self):
+    def test_partial_sends_resume_where_they_stopped(self):
+        hdr = StreamHeader(width=64, height=48)
+        units = [(ref_encode(pack_superframe(make_frame(64, 48, seed=i))), i) for i in range(3)]
+        whole, partial = Recorder(), Recorder(limit=1000)
+        send_stream(whole, hdr, units)
+        send_stream(partial, hdr, units)
+        assert max(map(len, partial.sent)) == 1000 < max(map(len, whole.sent))
+        assert b"".join(partial.sent) == b"".join(whole.sent)
+
+    def test_stored_unit_is_framed_without_a_copy(self):
         au = ref_encode(pack_superframe(make_frame(640, 480, seed=3)))
         assert au.payload[0] == 0x53
-        sizes = []
+        calls = []
 
         class Discard:
-            def sendall(self, data):
-                sizes.append(len(data))
+            def sendmsg(self, buffers):
+                calls.append(list(buffers))
+                return sum(map(len, buffers))
 
         tracemalloc.start()
         try:
@@ -168,8 +184,10 @@ class TestSendFraming:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert sizes[1] == HEADER_SIZE + 2 + len(au.payload)
-        assert peak < len(au.payload) + 1024 * 1024
+        assert peak < 1024 * 1024
+        payload = serialize_access_unit(au)
+        header = PacketHeader(PTYPE_ACCESS_UNIT, FLAG_KEYFRAME, 0, 0, 0, len(payload))
+        assert b"".join(calls[1]) == encode_packet(FramePacket(header, payload))
 
 
 class TestFragmentation:
@@ -409,6 +427,21 @@ class TestStreams:
         assert len(received) == 7
         assert receiver.report.gap_count == 1
         assert not receiver.report.truncated
+
+    @pytest.mark.parametrize(
+        "width,height,accepted",
+        [(2048, 1024, True), (1024, 2048, True), (2048, 1026, False), (32766, 16384, False)],
+    )
+    def test_stream_header_over_the_bound_is_sanity_error(self, width, height, accepted):
+        assert MAX_SUPERFRAME_BYTES == SLM_BUFFER_BYTES
+        a, b = loopback()
+        with a, b:
+            send_stream(a, StreamHeader(width=width, height=height), [(unit(0), 0)])
+            if accepted:
+                assert recv_stream(b).header.width == width
+            else:
+                with pytest.raises(SanityError, match=f"declares {width}x{height}"):
+                    recv_stream(b)
 
     def test_unit_before_header_is_protocol_error(self):
         a, b = loopback()
